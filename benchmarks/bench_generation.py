@@ -9,10 +9,11 @@ replaces:
    tokens per step instead of O(T²) re-encoded ones), so the full gate
    applies on any core count.
 2. **Token-level continuous batching** — under staggered generation arrivals,
-   the engine's default admission (prefills of new requests co-batch with
-   decode steps of in-flight ones each tick) must beat the same driver in
-   ``generation_admission="drain"`` mode (new requests wait until the running
-   set empties — the lock-step baseline) by >= 1.3x makespan.
+   the engine's admission (prefills of new requests co-batch with decode
+   steps of in-flight ones each tick) must beat drain-then-batch admission
+   by >= 1.3x makespan.  The drain baseline is rebuilt on the client side
+   (:func:`_drain_then_batch_generate`): arrivals are held until every
+   in-flight generation has finished, then submitted as one wave.
 
 Plus the correctness anchor: cached greedy decode — solo through the model
 *and* batched through the engine — must be **token-identical** to the
@@ -60,9 +61,9 @@ DECODE_LAYERS = 4
 DECODE_ROUNDS = 3
 
 #: co-batching scenario: arrivals staggered *within* the first request's
-#: decode, so drain-mode admission strands them behind a full generation
-#: (wave barrier) while continuous admission merges each one into the next
-#: tick's forward_step
+#: decode, so drain-then-batch strands them behind a full generation (wave
+#: barrier) while continuous admission merges each one into the next tick's
+#: forward_step
 SERVE_REQUESTS = 6
 SERVE_NEW_TOKENS = 64
 SERVE_PROMPT = 6
@@ -160,6 +161,35 @@ def _staggered_generate(engine: ServingEngine, prompts, gap_s: float) -> float:
     return makespan, sequences
 
 
+def _drain_then_batch_generate(engine: ServingEngine, prompts, gap_s: float) -> tuple:
+    """The drain-then-batch baseline on the same arrival schedule.
+
+    Arrivals wait on the client until every generation already submitted has
+    finished, then everything that has arrived goes in as one wave of at most
+    ``SERVE_SLOTS`` requests — the lock-step admission continuous batching
+    replaces, driven through the same engine.  Returns ``(makespan,
+    sequences)`` like :func:`_staggered_generate`.
+    """
+    request = GenerationRequest(max_new_tokens=SERVE_NEW_TOKENS)
+    sequences = [None] * len(prompts)
+    t0 = time.perf_counter()
+    arrivals = [t0 + index * gap_s for index in range(len(prompts))]
+    pending = 0
+    while pending < len(prompts):
+        delay = arrivals[pending] - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        now = time.perf_counter()
+        wave = []
+        while pending < len(prompts) and arrivals[pending] <= now and len(wave) < SERVE_SLOTS:
+            wave.append((pending, engine.generate(prompts[pending], request)))
+            pending += 1
+        for index, future in wave:
+            sequences[index] = future.result(timeout=300)
+    makespan = time.perf_counter() - t0
+    return makespan, sequences
+
+
 def measure_continuous_vs_drain():
     """Staggered generation arrivals: co-batched admission vs drain-then-batch."""
     model = _serve_model()
@@ -169,20 +199,16 @@ def measure_continuous_vs_drain():
     ]
     references = [model.generate(p, max_new_tokens=SERVE_NEW_TOKENS) for p in prompts]
 
+    schedules = {"drain": _drain_then_batch_generate, "continuous": _staggered_generate}
     timings = {}
     outputs = {}
-    for admission in ("drain", "continuous"):
+    for admission, schedule in schedules.items():
         best = np.inf
         for _ in range(SERVE_ROUNDS):
-            engine = ServingEngine(
-                model,
-                plan_cache=False,
-                decode_slots=SERVE_SLOTS,
-                generation_admission=admission,
-            )
+            engine = ServingEngine(model, plan_cache=False, decode_slots=SERVE_SLOTS)
             # warmup: spin up the driver thread and first-touch the decode pool
             engine.generate(prompts[0], GenerationRequest(max_new_tokens=2)).result(timeout=60)
-            makespan, sequences = _staggered_generate(engine, prompts, SERVE_GAP_S)
+            makespan, sequences = schedule(engine, prompts, SERVE_GAP_S)
             engine.close()
             if makespan < best:
                 best = makespan

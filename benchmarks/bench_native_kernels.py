@@ -17,12 +17,7 @@ Gates:
   decode+matmul microbench — override with ``REPRO_BENCH_NATIVE_MIN_SPEEDUP``
   (CI uses a looser bound on contended shared runners);
 * native outputs **bit-identical** to the ``fast`` tier on that workload
-  (the tier keeps BLAS for the FLOPs, so this holds exactly);
-* the opt-in fused FMA kernel (``REPRO_NATIVE_FMA=1``) is *exact* on a
-  constructed workload where every partial sum is exactly representable —
-  proving the accumulation itself correct — and its timing is recorded for
-  the trajectory (informational: sequential FMA is not gated against
-  multi-threaded BLAS).
+  (the tier keeps BLAS for the FLOPs, so this holds exactly).
 
 Run standalone::
 
@@ -43,8 +38,8 @@ import numpy as np
 from bench_report import record
 from repro import nn
 from repro.evaluation.reporting import format_table
-from repro.fp8 import E4M3, native
-from repro.fp8.kernels import _decode_lut, use_kernel
+from repro.fp8 import native
+from repro.fp8.kernels import use_kernel
 from repro.quantization import quantize_model, set_serving_mode, standard_recipe
 from repro.quantization.qconfig import Approach
 
@@ -125,55 +120,8 @@ def run_streaming_speedup() -> dict:
     }
 
 
-def run_fma_exactness_and_timing() -> dict:
-    """The opt-in fused FMA kernel: exact on an exactly-representable workload.
-
-    Activations are small integers and decoded weights are scaled ±1/0, so
-    every product and partial sum is an exact float32 integer — any
-    accumulation order gives identical bits, which lets the sequential C
-    kernel be compared against BLAS *exactly* and proves the FMA loop itself
-    correct.  Timing is informational (single sequential core vs BLAS).
-    """
-    rng = np.random.default_rng(8)
-    qlinear = build_streaming_linear()
-    wq = qlinear.weight_q
-    # overwrite the packed weight with the exact-regime pattern: codes decode
-    # to ±1.0/+0.0 and the scale is a power of two, so w = ±2.0 exactly and
-    # every product/partial sum against integer activations is an exact
-    # small float32 integer
-    wq.codes[...] = rng.choice(np.array([0x38, 0xB8, 0x00], dtype=np.uint8), wq.codes.shape)
-    np.asarray(wq.scale)[...] = 0.5
-    x = rng.integers(-4, 5, (BATCH, IN_FEATURES)).astype(np.float32)
-    lut = _decode_lut(wq.fmt)
-    dense = (lut[wq.codes].astype(np.float64) / np.asarray(wq.scale)).astype(np.float32)
-    oracle = x @ dense.T + qlinear.inner.bias.data
-
-    os.environ[native.FMA_ENV_VAR] = "1"
-    try:
-        with use_kernel("native"):
-            fma_out = qlinear._stream_matmul(x)
-            fma_s = _time(lambda: qlinear._stream_matmul(x))
-    finally:
-        os.environ.pop(native.FMA_ENV_VAR, None)
-    with use_kernel("fast"):
-        blas_s = _time(lambda: qlinear._stream_matmul(x))
-
-    exact = bool(np.array_equal(fma_out, oracle))
-    if not exact:
-        raise AssertionError("fused FMA kernel is not exact on the exact-regime workload")
-    return {
-        "fma_us_per_forward": fma_s * 1e6,
-        "numpy_fast_us_per_forward": blas_s * 1e6,
-        "fma_vs_fast": blas_s / fma_s,
-        "exact_on_representable_workload": exact,
-    }
-
-
 def run() -> dict:
-    return {
-        "streaming": run_streaming_speedup(),
-        "fused_fma": run_fma_exactness_and_timing(),
-    }
+    return {"streaming": run_streaming_speedup()}
 
 
 def test_native_streaming_speedup():
@@ -194,20 +142,9 @@ def test_native_streaming_speedup():
     )
 
 
-def test_fused_fma_exactness():
-    if not native.native_available():
-        import pytest
-
-        pytest.skip("no C compiler available")
-    stats = run_fma_exactness_and_timing()
-    record("native_kernels", {"fused_fma": stats})
-    assert stats["exact_on_representable_workload"]
-
-
 def main():
     stats = run()
     s = stats["streaming"]
-    f = stats["fused_fma"]
     rows = [
         {
             "Path": "fast (numpy decode + BLAS)",
@@ -219,15 +156,9 @@ def main():
             "us/forward": f"{s['native_us_per_forward']:.0f}",
             "Speedup": f"{s['speedup']:.2f}x",
         },
-        {
-            "Path": "native fused FMA (opt-in)",
-            "us/forward": f"{f['fma_us_per_forward']:.0f}",
-            "Speedup": f"{f['fma_vs_fast']:.2f}x",
-        },
     ]
     print(format_table(rows))
     print(f"bit-identical (native vs fast): {s['bit_identical']}")
-    print(f"FMA exact on representable workload: {f['exact_on_representable_workload']}")
     record("native_kernels", stats)
     gate = "PASS" if s["speedup"] >= ACCEPTANCE_SPEEDUP else "FAIL"
     print(f"acceptance (>= {ACCEPTANCE_SPEEDUP}x): {gate}")

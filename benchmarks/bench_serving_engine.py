@@ -11,10 +11,10 @@ The two ends of the serving hot path that PR 4 adds, with acceptance gates:
    8 single-sample requests as one stacked forward must beat 8 sequential
    single-request streaming forwards by >= 2x: the per-forward block decode
    is paid once per batch instead of once per request.
-3. **Bit-identity** — streaming with the double-buffered block prefetcher
-   enabled must produce outputs bit-identical to cached mode on the same
-   batch (same codes, same block boundaries, same kernels — only the decode
-   schedule differs).
+3. **Bit-identity** — streaming with cross-layer pipelined block prefetch
+   (``prefetch="pipeline"``) must produce outputs bit-identical to plain
+   streaming and to cached mode on the same batch (same codes, same block
+   boundaries, same kernels — only the decode schedule differs).
 
 Run standalone::
 
@@ -271,7 +271,7 @@ def measure_batched_throughput():
 
 
 def measure_prefetch_identity():
-    """Prefetched streaming must be bit-identical to cached mode (and report overlap timing)."""
+    """Pipelined streaming must be bit-identical to cached mode (and report overlap timing)."""
     result = quantize_model(build_serve_model(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
     model = result.model
     probe = _probe((IDENTITY_BATCH, SERVE_FEATURES), seed=11)
@@ -286,8 +286,8 @@ def measure_prefetch_identity():
             plain_out = model(probe).data
             plain_s = min(plain_s, time.perf_counter() - t0)
 
-        set_serving_mode(model, "streaming", prefetch=True)
-        model(probe)  # warmup
+        set_serving_mode(model, "streaming", prefetch="pipeline")
+        model(probe)  # warmup (starts the decode pool)
         prefetch_s = np.inf
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
@@ -308,7 +308,7 @@ def measure_prefetch_identity():
             "== cached": bool(np.array_equal(plain_out, cached_out)),
         },
         {
-            "Mode": "streaming+prefetch",
+            "Mode": "streaming+pipeline",
             "Forward": f"{prefetch_s * 1e3:.1f} ms",
             "== cached": stats["prefetch_matches_cached"],
         },
@@ -325,7 +325,7 @@ def main():
     print(format_table(serve_rows, title=f"Serving engine throughput (batch {BATCH})"))
     prefetch_rows, prefetch_stats = measure_prefetch_identity()
     print()
-    print(format_table(prefetch_rows, title="Block prefetch"))
+    print(format_table(prefetch_rows, title="Pipelined block prefetch"))
     record(
         "serving_engine",
         {"cold_load": cold_stats, "throughput": serve_stats, "prefetch": prefetch_stats},
@@ -368,9 +368,9 @@ def test_prefetch_bit_identity():
     _, stats = measure_prefetch_identity()
     record("serving_engine_prefetch", stats)
     assert stats["prefetch_matches_plain_streaming"], (
-        "prefetched streaming diverges from sequential streaming"
+        "pipelined streaming diverges from sequential streaming"
     )
-    assert stats["prefetch_matches_cached"], "prefetched streaming diverges from cached mode"
+    assert stats["prefetch_matches_cached"], "pipelined streaming diverges from cached mode"
 
 
 if __name__ == "__main__":

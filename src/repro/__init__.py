@@ -21,7 +21,7 @@ The package is organised as:
     including zero-copy mmap loads where codes are paged in on first touch.
 ``repro.serving``
     The throughput layer: a batched request engine over one served model and
-    double-buffered block prefetch for the streaming weight path.
+    cross-layer pipelined block prefetch for the streaming weight path.
 """
 
 from repro import fp8

@@ -2,32 +2,20 @@
 
 This package implements the ``native`` value of ``REPRO_FP8_KERNEL`` as a
 renderer/runtime split (:mod:`~repro.fp8.native.codegen` renders one fused C
-kernel per (format, granularity, block shape); :mod:`~repro.fp8.native.runtime`
-compiles it with the system C compiler, caches shared objects on disk and
-loads them via ctypes) plus the numpy-facing dispatch in this module.
+kernel per (format, granularity); :mod:`~repro.fp8.native.runtime` compiles
+it with the system C compiler, caches shared objects on disk and loads them
+via ctypes) plus the numpy-facing dispatch in this module.
 
-Two fusion levels:
-
-* **decode → rescale** (always on under the native tier): one C pass replaces
-  the numpy decode chain's four temporaries (int64 code copy, LUT gather,
-  float64 divide, float32 narrow) and is **bit-identical** to the numpy
-  ``fast`` path by construction, so every consumer — streaming matmul blocks,
-  prefetch threads, engine workers, embedding gather-decode, plan replay —
-  keeps its exact outputs while the memory-bound decode gets one pass instead
-  of four.  :func:`decode_rescale` returns ``None`` for layouts the kernels
-  do not cover (INT8 codes, per-channel scales on a non-leading axis) and the
-  caller falls back to numpy.
-
-* **decode → rescale → FMA** (opt-in via ``REPRO_NATIVE_FMA=1``): the whole
-  ``y = x @ decode(W).T`` runs as a single ctypes call with sequential
-  float32 accumulation.  Sequential accumulation cannot be bit-identical to
-  numpy's BLAS matmul (the k loop vectorises differently), so this level is
-  never silently enabled: with it on, streaming outputs agree with the numpy
-  oracle to accumulation tolerance — and exactly where every partial sum is
-  exactly representable, which ``benchmarks/bench_native_kernels.py``
-  verifies on a constructed workload.  Eager and compiled-plan replay share
-  the same kernel, so plan verification against the eager oracle still
-  passes bit-for-bit.
+The tier fuses **decode → rescale**: one C pass replaces the numpy decode
+chain's four temporaries (int64 code copy, LUT gather, float64 divide,
+float32 narrow) and is **bit-identical** to the numpy ``fast`` path by
+construction.  The matmul stays on BLAS, so every consumer — streaming
+matmul blocks, pipelined prefetch, engine workers, embedding gather-decode,
+plan replay — keeps exactly the ``fast`` tier's outputs while the
+memory-bound decode gets one pass instead of four.  :func:`decode_rescale`
+returns ``None`` for layouts the kernels do not cover (INT8 codes,
+per-channel scales on a non-leading axis) and the caller falls back to
+numpy.
 
 When no C compiler is present the tier degrades silently (one warning):
 ``REPRO_FP8_KERNEL=native`` behaves exactly like ``fast``.
@@ -36,7 +24,6 @@ When no C compiler is present the tier degrades silently (one warning):
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,7 +35,6 @@ from repro.fp8.native.runtime import (
     cache_dir,
     compiler_path,
     decode_kernel,
-    fma_kernel,
     native_available,
     reset,
 )
@@ -56,24 +42,12 @@ from repro.fp8.native.runtime import (
 __all__ = [
     "CACHE_ENV_VAR",
     "CC_ENV_VAR",
-    "FMA_ENV_VAR",
     "cache_dir",
     "compiler_path",
     "native_available",
     "reset",
     "decode_rescale",
-    "fma_enabled",
-    "qlinear_fma",
-    "plan_qlinear_fma",
 ]
-
-#: opt-in switch for the fully fused decode→FMA matmul (see module docstring)
-FMA_ENV_VAR = "REPRO_NATIVE_FMA"
-
-
-def fma_enabled() -> bool:
-    """True when the fully fused FMA matmul is opted in via the environment."""
-    return os.environ.get(FMA_ENV_VAR, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -130,76 +104,3 @@ def decode_rescale(codes: np.ndarray, fmt: FP8Format, scale: np.ndarray) -> Opti
     codes = np.ascontiguousarray(codes)
     fn(_ptr(codes), _ptr(flat_scale), _ptr(out), rows, cols)
     return out
-
-
-# ----------------------------------------------------------------------
-# fully fused decode → rescale → FMA matmul (opt-in)
-# ----------------------------------------------------------------------
-def _fma_layout(wq) -> Optional[Tuple[np.ndarray, np.ndarray, bool]]:
-    """Weight-side eligibility for the fused matmul: packed FP8, 2-D, axis-0 scale."""
-    if not isinstance(getattr(wq, "fmt", None), FP8Format):
-        return None
-    if wq.zero_point is not None:
-        return None
-    codes = np.asarray(wq.codes)
-    if codes.dtype != np.uint8 or codes.ndim != 2:
-        return None
-    layout = _scale_layout(codes, np.asarray(wq.scale))
-    if layout is None:
-        return None
-    flat_scale, per_row = layout
-    return np.ascontiguousarray(codes), flat_scale, per_row
-
-
-def _fma_call(
-    fn, x2d: np.ndarray, codes: np.ndarray, flat_scale: np.ndarray, y2d: np.ndarray
-) -> None:
-    n, _cols = x2d.shape
-    rows = codes.shape[0]
-    fn(_ptr(x2d), _ptr(codes), _ptr(flat_scale), _ptr(y2d), n, rows, codes.shape[1])
-
-
-def qlinear_fma(wq, x2d: np.ndarray, y2d: np.ndarray) -> bool:
-    """Run ``y2d = x2d @ decode(wq).T`` as one ctypes call; False if unsupported.
-
-    ``x2d`` is ``(n, in_features)`` float32, ``y2d`` a C-contiguous
-    ``(n, out_features)`` float32 view the kernel writes in place.
-    """
-    layout = _fma_layout(wq)
-    if layout is None:
-        return False
-    codes, flat_scale, per_row = layout
-    if x2d.shape[1] != codes.shape[1] or not y2d.flags.c_contiguous:
-        return False
-    if x2d.size == 0 or codes.size == 0:
-        y2d[...] = 0.0
-        return True
-    fn = fma_kernel(wq.fmt, per_row, x2d.shape[0])
-    if fn is None:
-        return False
-    x2d = np.ascontiguousarray(x2d, dtype=np.float32)
-    _fma_call(fn, x2d, codes, flat_scale, y2d)
-    return True
-
-
-def plan_qlinear_fma(wq, n: int):
-    """Pre-bind the fused matmul for a compiled-plan node; None if unsupported.
-
-    Resolves the batch-specialised kernel and captures the packed buffers
-    once at plan-compile time, so each replay is a single ctypes call with
-    zero dispatch.  Plan lifetime is bounded by the state epoch (any weight
-    mutation drops the plan), which is what makes capturing the buffers safe.
-    """
-    layout = _fma_layout(wq)
-    if layout is None or n < 1:
-        return None
-    codes, flat_scale, per_row = layout
-    fn = fma_kernel(wq.fmt, per_row, n)
-    if fn is None:
-        return None
-
-    def call(x2d: np.ndarray, y2d: np.ndarray) -> None:
-        x2d = np.ascontiguousarray(x2d, dtype=np.float32)
-        _fma_call(fn, x2d, codes, flat_scale, y2d)
-
-    return call

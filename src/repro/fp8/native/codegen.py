@@ -2,40 +2,25 @@
 
 This module is the *renderer* of the renderer/runtime split (in the style of
 tinygrad's ``cstyle.py`` / ``ops_clang.py``): it turns an FP8 format table
-plus a scale granularity and a block shape into one self-contained C
-translation unit, and :mod:`repro.fp8.native.runtime` compiles and loads it.
-Nothing here touches a compiler — rendering is pure string work, so it is
-cheap, deterministic and directly testable.
+plus a scale granularity into one self-contained C translation unit, and
+:mod:`repro.fp8.native.runtime` compiles and loads it.  Nothing here touches
+a compiler — rendering is pure string work, so it is cheap, deterministic
+and directly testable.
 
-Two kernel families are rendered:
+:func:`render_decode_kernel` renders the fused decode → rescale:
+``out[r, c] = float32(float64(LUT[code]) / s_r)`` over a ``rows x cols``
+block of packed codes, with ``s_r`` either one per-tensor scalar or a
+per-row (channel) scale.  This is **bit-identical** to the numpy ``fast``
+path by construction: the 256-entry LUT is baked into the source as the
+exact float32 bit patterns of the numpy LUT, the divide happens in float64
+and the result is narrowed to float32 — the same three IEEE-754 operations
+numpy performs, in the same order.  For wide rows the kernel first folds the
+row scale into a rescaled 256-entry float32 LUT (256 divides amortised over
+the row) and decodes by pure gather; the memoisation is bit-safe because
+each table entry is produced by the identical divide+narrow the direct path
+would perform per element.
 
-``decode`` (:func:`render_decode_kernel`)
-    Fused decode → rescale: ``out[r, c] = float32(float64(LUT[code]) / s_r)``
-    over a ``rows x cols`` block of packed codes, with ``s_r`` either one
-    per-tensor scalar or a per-row (channel) scale.  This is **bit-identical**
-    to the numpy ``fast`` path by construction: the 256-entry LUT is baked
-    into the source as the exact float32 bit patterns of the numpy LUT, the
-    divide happens in float64 and the result is narrowed to float32 — the
-    same three IEEE-754 operations numpy performs, in the same order.  For
-    wide rows the kernel first folds the row scale into a rescaled 256-entry
-    float32 LUT (256 divides amortised over the row) and decodes by pure
-    gather; the memoisation is bit-safe because each table entry is produced
-    by the identical divide+narrow the direct path would perform per element.
-
-``fma`` (:func:`render_fma_kernel`)
-    Fully fused decode → rescale → FMA matmul:
-    ``y[n, r] = sum_k x[n, k] * w[r, k]`` with ``w`` decoded on the fly from
-    the packed codes and accumulated sequentially over ``k`` in float32.
-    Sequential accumulation is *not* bit-identical to numpy's BLAS matmul
-    (BLAS vectorises the k loop), which is why this kernel is an explicit
-    opt-in at the dispatch layer — see :mod:`repro.fp8.native.runtime` and
-    the ``REPRO_NATIVE_FMA`` switch.  The kernel is specialised on the
-    number of input rows (the batch block shape): for small ``n`` the
-    accumulators live in registers across the whole k loop.
-
-Both renderers key their specialisation on ``(format, granularity, block
-shape)``; the runtime caches one compiled shared object per distinct rendered
-source.
+The runtime caches one compiled shared object per distinct rendered source.
 """
 
 from __future__ import annotations
@@ -48,16 +33,11 @@ from repro.fp8.formats import FP8Format
 
 __all__ = [
     "KERNEL_SYMBOL",
-    "GENERIC_ROWS",
     "render_decode_kernel",
-    "render_fma_kernel",
 ]
 
 #: every rendered translation unit exports exactly this symbol
 KERNEL_SYMBOL = "repro_kernel"
-
-#: x-row specialisations above this count share one generic-n kernel
-GENERIC_ROWS = 8
 
 #: below this many columns a per-row rescaled LUT costs more than it saves
 #: (256 divides per row vs one divide per element), so the decode kernel
@@ -162,91 +142,6 @@ void {KERNEL_SYMBOL}(const uint8_t *codes, const double *scale,
     for (long i = 0; i < n; i++)
         out[i] = flat_lut[codes[i]];
 }
-"""
-        )
-    return "".join(src)
-
-
-@lru_cache(maxsize=None)
-def render_fma_kernel(fmt: FP8Format, per_row: bool, n_rows: int) -> str:
-    """C source for the fully fused decode → rescale → FMA matmul kernel.
-
-    Signature of the exported symbol::
-
-        void repro_kernel(const float *x, const uint8_t *codes,
-                          const double *scale, float *y,
-                          long n, long rows, long cols);
-
-    computing ``y[i, r] = sum_k x[i, k] * w[r, k]`` for the ``n x cols``
-    activation block against the ``rows x cols`` packed weight, with ``w``
-    decoded through a per-row rescaled LUT.  ``n_rows`` in ``1..GENERIC_ROWS``
-    renders a batch-specialised variant whose accumulators are compile-time
-    unrolled (the block-shape axis of the specialisation key); ``0`` renders
-    the generic runtime-``n`` fallback.
-    """
-    if not 0 <= n_rows <= GENERIC_ROWS:
-        raise ValueError(f"n_rows must be in 0..{GENERIC_ROWS}, got {n_rows}")
-    detail = (
-        f"granularity: {'per-row' if per_row else 'per-tensor'} scale; "
-        f"batch block: {'generic' if n_rows == 0 else n_rows}"
-    )
-    src = [_header(fmt, "fma", detail)]
-    if per_row:
-        rescale = """    float row_lut[256];
-    for (long r = 0; r < rows; r++) {
-        const double s = scale[r];
-        for (int c = 0; c < 256; c++) {
-            v.u = LUT_BITS[c];
-            row_lut[c] = (float)((double)v.f / s);
-        }
-"""
-    else:
-        # one scale for the whole weight: fold it into the LUT exactly once
-        rescale = """    float row_lut[256];
-    const double s = scale[0];
-    for (int c = 0; c < 256; c++) {
-        v.u = LUT_BITS[c];
-        row_lut[c] = (float)((double)v.f / s);
-    }
-    for (long r = 0; r < rows; r++) {
-"""
-    src.append(
-        f"""
-void {KERNEL_SYMBOL}(const float *x, const uint8_t *codes, const double *scale,
-                     float *y, long n, long rows, long cols)
-{{
-    f32bits v;
-{rescale}        const uint8_t *w = codes + r * cols;
-"""
-    )
-    if n_rows == 0:
-        src.append(
-            """        for (long i = 0; i < n; i++) {
-            const float *xi = x + i * cols;
-            float acc = 0.0f;
-            for (long k = 0; k < cols; k++)
-                acc += xi[k] * row_lut[w[k]];
-            y[i * rows + r] = acc;
-        }
-    }
-}
-"""
-        )
-    else:
-        accs = "\n".join(f"        float acc{i} = 0.0f;" for i in range(n_rows))
-        ptrs = "\n".join(f"        const float *x{i} = x + {i} * cols;" for i in range(n_rows))
-        fmas = "\n".join(f"            acc{i} += x{i}[k] * wk;" for i in range(n_rows))
-        stores = "\n".join(f"        y[{i} * rows + r] = acc{i};" for i in range(n_rows))
-        src.append(
-            f"""{accs}
-{ptrs}
-        for (long k = 0; k < cols; k++) {{
-            const float wk = row_lut[w[k]];
-{fmas}
-        }}
-{stores}
-    }}
-}}
 """
         )
     return "".join(src)

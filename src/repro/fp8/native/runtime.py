@@ -42,12 +42,7 @@ import warnings
 from typing import Dict, Optional, Tuple
 
 from repro.fp8.formats import FP8Format
-from repro.fp8.native.codegen import (
-    GENERIC_ROWS,
-    KERNEL_SYMBOL,
-    render_decode_kernel,
-    render_fma_kernel,
-)
+from repro.fp8.native.codegen import KERNEL_SYMBOL, render_decode_kernel
 
 __all__ = [
     "CC_ENV_VAR",
@@ -57,7 +52,6 @@ __all__ = [
     "compiler_path",
     "cache_dir",
     "decode_kernel",
-    "fma_kernel",
     "reset",
 ]
 
@@ -206,31 +200,6 @@ def decode_kernel(fmt: FP8Format, per_row: bool):
             ctypes.c_void_p,
             ctypes.c_void_p,
             ctypes.c_void_p,
-            ctypes.c_long,
-            ctypes.c_long,
-        ]
-        fn._typed = True
-    return fn
-
-
-def fma_kernel(fmt: FP8Format, per_row: bool, n: int):
-    """The compiled fused decode → rescale → FMA kernel for an ``n``-row batch.
-
-    Batches up to :data:`~repro.fp8.native.codegen.GENERIC_ROWS` rows get a
-    register-specialised variant; larger batches share the generic kernel.
-    Call signature (all arrays C-contiguous):
-    ``fn(x_f32_ptr, codes_u8_ptr, scale_f64_ptr, y_f32_ptr, n, rows, cols)``.
-    """
-    spec = n if 1 <= n <= GENERIC_ROWS else 0
-    fn = _load(render_fma_kernel(fmt, per_row, spec))
-    if fn is not None and not getattr(fn, "_typed", False):
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_long,
             ctypes.c_long,
             ctypes.c_long,
         ]

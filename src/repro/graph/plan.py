@@ -181,14 +181,6 @@ def _c_linear(node, graph, fresh):
 
 
 def _c_qlinear(node, graph, fresh):
-    # Cached qlinear nodes always compile to the BLAS matmul over the dense
-    # weight cache, never to the native fused kernel: the eager cached forward
-    # is BLAS, so a sequentially-accumulated C kernel here would fail the plan
-    # cache's exact compile-time verification and pin the forward to eager.
-    # (The native tier still accelerates cache *materialisation* — the fused
-    # decode runs when the dense weight is rebuilt.)  BLAS also simply wins on
-    # a resident dense float32 weight; the native FMA kernel's advantage is
-    # skipping the decode temporaries, which cached mode pays only once.
     module = node.params["module"]
     epi = node.params.get("epilogue")
     quantize_first = node.kind == "qlinear"
@@ -209,58 +201,12 @@ def _c_qlinear(node, graph, fresh):
     return fn, _out_spec(graph, node), bool(epi) and _epilogue_fresh(epi)
 
 
-def _native_stream_call(module, graph, node):
-    """Pre-bound fused decode→FMA ctypes call for a streaming qlinear node.
-
-    Resolved once at plan-compile time (native tier active, ``REPRO_NATIVE_FMA``
-    opted in, weight layout supported): the batch-specialised kernel and the
-    packed weight buffers are captured in the returned callable, so each replay
-    is a single ctypes call with zero dispatch.  This is safe to pre-bind
-    because plan lifetime is bounded by the state epoch — any weight mutation
-    drops the plan.  The eager streaming forward under the same settings runs
-    the *same* kernel through ``_stream_matmul``, so the plan cache's exact
-    compile-time verification against the eager oracle passes bit-for-bit.
-    Returns ``None`` to compile the generic ``_stream_matmul`` closure instead.
-    """
-    from repro.fp8 import kernels, native
-
-    if not native.fma_enabled() or kernels.get_active_kernel() != "native":
-        return None
-    wq = getattr(module, "weight_q", None)
-    if wq is None:
-        return None
-    shape, dtype = graph.slot_meta[node.output]
-    if np.dtype(dtype) != np.float32 or not shape:
-        return None
-    n = 1
-    for dim in shape[:-1]:
-        n *= int(dim)
-    return native.plan_qlinear_fma(wq, n)
-
-
 def _c_qlinear_stream(node, graph, fresh):
     module = node.params["module"]
     epi = node.params.get("epilogue")
     quantize_first = node.kind == "qlinear_stream"
     (a,) = node.inputs
     out = node.output
-
-    native_call = _native_stream_call(module, graph, node)
-    if native_call is not None:
-        bias = getattr(module.inner, "bias", None)
-
-        def fn(env, buf):
-            x = env[a]
-            if quantize_first:
-                x = module.input_quantizers[0].quantize(x)
-            else:
-                x = np.asarray(x, dtype=np.float32)
-            native_call(x.reshape(-1, x.shape[-1]), buf.reshape(-1, buf.shape[-1]))
-            if bias is not None:
-                np.add(buf, bias.data, out=buf)
-            _finish(env, out, buf, epi)
-
-        return fn, _out_spec(graph, node), bool(epi) and _epilogue_fresh(epi)
 
     def fn(env, buf):
         x = env[a]

@@ -32,7 +32,10 @@ After conversion a wrapper serves in one of two modes
   (:meth:`~repro.fp8.quantize.QuantizedTensor.dequantize_block`), and
   :class:`QuantizedEmbedding` decodes only the gathered rows, so the dense
   weight is never materialised at all; other operators decode transiently
-  and drop the view when the call returns.
+  and drop the view when the call returns.  ``prefetch="pipeline"`` (wired
+  model-wide by :func:`repro.quantization.workflow.set_serving_mode`)
+  decodes the blocks ahead on a shared pool across layer boundaries (see
+  :mod:`repro.serving.prefetch`); the blocks are the same either way.
 
 :meth:`QuantizedModule.drop_originals` enters *deployment* (restore-free)
 mode: the pristine original float32 weight is discarded, ``restore()``
@@ -88,9 +91,9 @@ __all__ = [
 #: valid post-conversion serving modes (see the module docstring)
 SERVING_MODES = ("cached", "streaming")
 
-#: valid streaming prefetch settings: off, per-layer double buffering, or
-#: cross-layer pipelined decode (see serving/prefetch.py)
-PREFETCH_MODES = (False, True, "pipeline")
+#: valid streaming prefetch settings: off, or cross-layer pipelined decode
+#: (see serving/prefetch.py)
+PREFETCH_MODES = (False, "pipeline")
 
 #: environment variable overriding the default streaming block size for every
 #: wrapper that has no explicit per-module setting
@@ -409,13 +412,12 @@ class QuantizedModule(Module):
         to the ``REPRO_STREAM_BLOCK`` environment variable, then to the class
         default (see :meth:`streaming_block_size`).  ``prefetch`` selects the
         block prefetch strategy for operators with a blocked streaming
-        kernel: ``True`` enables the per-layer double-buffered prefetcher (a
-        background thread decodes block *k+1* while block *k*'s matmul runs),
-        ``"pipeline"`` additionally pipelines decode across consecutive
-        streaming layers via a shared pool (the model-level wiring lives in
+        kernel: ``False`` decodes inline, ``"pipeline"`` pipelines decode
+        across consecutive streaming layers via a shared pool (the
+        model-level wiring lives in
         :func:`repro.quantization.workflow.set_serving_mode`; without a wired
-        coordinator the module falls back to per-layer prefetch).  ``None``
-        leaves either setting unchanged.
+        coordinator the module decodes inline).  ``None`` leaves either
+        setting unchanged.
         """
         if mode not in SERVING_MODES:
             raise ValueError(f"unknown serving mode {mode!r}; expected one of {SERVING_MODES}")
@@ -424,12 +426,12 @@ class QuantizedModule(Module):
                 raise ValueError(f"block_channels must be >= 1, got {block_channels!r}")
             self.streaming_block_channels = int(block_channels)
         if prefetch is not None:
-            if prefetch is not True and prefetch is not False and prefetch != "pipeline":
+            if prefetch is not False and prefetch != "pipeline":
                 raise ValueError(
                     f"unknown prefetch setting {prefetch!r}; expected one of {PREFETCH_MODES}"
                 )
             self.streaming_prefetch = prefetch
-            if prefetch != "pipeline":
+            if prefetch is False:
                 # a stale cross-layer coordinator must not outlive the setting
                 self._pipeline = None
         self.serving_mode = mode
@@ -752,10 +754,8 @@ class QuantizedLinear(QuantizedModule):
         is what makes the memory-bound serving path genuinely packed-resident.
         ``x`` may carry any number of leading batch dimensions; the whole
         batch shares each decoded block, which is what the serving engine's
-        request batching amortises.  With ``streaming_prefetch`` enabled the
-        blocks arrive from a background decode thread (double-buffered), so
-        block *k+1*'s dequantize overlaps block *k*'s matmul.  Inference only
-        (no autograd tape is recorded).
+        request batching amortises.  Inference only (no autograd tape is
+        recorded).
         """
         (x,) = self._process_inputs((x,))
         x_np = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
@@ -773,35 +773,12 @@ class QuantizedLinear(QuantizedModule):
         y = out
         if y is None:
             y = np.empty(x_np.shape[:-1] + (out_features,), dtype=np.float32)
-        if not self._native_fma_matmul(x_np, y):
-            for start, stop, w_block in self._iter_weight_blocks():
-                np.matmul(x_np, w_block.T, out=y[..., start:stop])
+        for start, stop, w_block in self._iter_weight_blocks():
+            np.matmul(x_np, w_block.T, out=y[..., start:stop])
         bias = getattr(self.inner, "bias", None)
         if bias is not None:
             np.add(y, bias.data, out=y)
         return y
-
-    def _native_fma_matmul(self, x_np: np.ndarray, y: np.ndarray) -> bool:
-        """Opt-in fully fused decode → rescale → FMA matmul (one ctypes call).
-
-        Replaces the whole blocked decode/matmul loop when the native kernel
-        tier is active *and* ``REPRO_NATIVE_FMA=1``: the packed weight is
-        decoded and accumulated inside a single compiled kernel, so neither
-        the dense float32 weight nor any per-block temporary ever exists.
-        Sequential C accumulation is not bit-identical to BLAS (which is why
-        the fusion is opt-in rather than implied by the tier — see
-        :mod:`repro.fp8.native`); returns False to keep the exact blocked
-        path whenever the fusion is off or the layout is unsupported.
-        """
-        from repro.fp8 import kernels, native
-
-        if not native.fma_enabled() or kernels.get_active_kernel() != "native":
-            return False
-        if not y.flags.c_contiguous:
-            return False
-        in_features = x_np.shape[-1] if x_np.ndim else 0
-        x2d = x_np.reshape(-1, in_features)
-        return native.qlinear_fma(self.weight_q, x2d, y.reshape(x2d.shape[0], -1))
 
     def trace_emit(self, tracer, args, kwargs):
         """Emit ``qdq`` + ``qlinear_(stream_)mm`` nodes (fused downstream).
@@ -837,25 +814,17 @@ class QuantizedLinear(QuantizedModule):
     def _iter_weight_blocks(self):
         """Yield ``(start, stop, float32 block)`` over the packed weight's axis 0.
 
-        Decode schedule by ``streaming_prefetch``: ``"pipeline"`` with a wired
-        coordinator streams from the model's shared cross-layer decode window
-        (layer k+1's head blocks decode while this layer's tail is consumed);
-        otherwise any truthy setting uses the per-layer double-buffered
-        prefetcher; ``False`` decodes inline.  All three produce bit-identical
-        blocks — only the schedule differs.
+        A wired ``"pipeline"`` coordinator streams from the model's shared
+        cross-layer decode window (layer k+1's head blocks decode while this
+        layer's tail is consumed); otherwise blocks decode inline.  Both
+        produce bit-identical blocks — only the schedule differs.
         """
-        block = self.streaming_block_size()
         if self.streaming_prefetch == "pipeline" and self._pipeline is not None:
             return self._pipeline.iter_blocks(self)
-        if self.streaming_prefetch:
-            # lazy import: the quantization layer must stay importable (and
-            # fully functional) without the serving package in the loop
-            from repro.serving.prefetch import BlockPrefetcher
+        return self._decode_blocks_sequential()
 
-            return BlockPrefetcher(self.weight_q, block_channels=block, axis=0)
-        return self._decode_blocks_sequential(block)
-
-    def _decode_blocks_sequential(self, block: int):
+    def _decode_blocks_sequential(self):
+        block = self.streaming_block_size()
         wq = self.weight_q
         out_features = wq.shape[0]
         for start in range(0, out_features, block):

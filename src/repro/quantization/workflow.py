@@ -270,13 +270,14 @@ def set_serving_mode(
     ``block_channels`` pins the streaming block size on every wrapper (the
     per-module equivalent of the ``REPRO_STREAM_BLOCK`` environment variable);
     ``prefetch`` selects block prefetch on operators with a blocked streaming
-    kernel: ``True`` for per-layer double buffering, ``"pipeline"`` for
-    cross-layer pipelined decode — this is where the model-level wiring
-    happens: one shared :class:`~repro.serving.prefetch.PipelinePrefetcher`
-    is built over the model's blocked streaming wrappers in module definition
-    order (the workflow's usual proxy for execution order) and attached to
-    each of them, so layer *k+1*'s first blocks decode while layer *k*
-    finishes.  ``None`` leaves either setting untouched.
+    kernel: ``False`` decodes inline, ``"pipeline"`` pipelines decode across
+    layers — this is where the model-level wiring happens: one shared
+    :class:`~repro.serving.prefetch.PipelinePrefetcher` is built over the
+    model's blocked streaming wrappers in module definition order (the
+    workflow's usual proxy for execution order) and attached to each of
+    them, so layer *k+1*'s first blocks decode while layer *k* finishes.
+    ``None`` leaves either setting untouched; any other value raises
+    ``ValueError``.
     """
     count = 0
     wrappers = []

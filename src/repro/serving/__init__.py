@@ -12,8 +12,7 @@ streaming serving modes:
   :class:`~repro.serving.api.GenerationRequest` — the typed request surface:
   ``engine.submit(x, SubmitOptions(...))`` for one-shot forwards,
   ``engine.generate(prompt, GenerationRequest(...))`` for autoregressive
-  generation (future, or token stream with ``stream=True``); the old
-  ``priority=``/``deadline_ms=`` kwargs remain as warn-once shims;
+  generation (future, or token stream with ``stream=True``);
 * :class:`~repro.serving.scheduler.ContinuousScheduler` — the engine-agnostic
   per-compatibility-bucket admission core (deadline-aware windows,
   :class:`~repro.serving.scheduler.DeadlineExceeded` on queue-time misses);
@@ -23,10 +22,6 @@ streaming serving modes:
   packed), a single driver thread co-batches prefills of new arrivals with
   single-token decode steps of every in-flight sequence, and a slot budget
   with strict-urgency preemption bounds decode-state memory;
-* :class:`~repro.serving.prefetch.BlockPrefetcher` — double-buffered block
-  decode for one streaming ``QuantizedLinear``: a background thread decodes
-  block *k+1* while the main thread runs block *k*'s matmul
-  (``set_serving_mode(model, "streaming", prefetch=True)``);
 * :class:`~repro.serving.prefetch.PipelinePrefetcher` — cross-layer pipelined
   decode: a shared pool slides a decode window across consecutive streaming
   layers, so layer *k+1*'s first blocks decode while layer *k* finishes
@@ -65,7 +60,7 @@ from repro.serving.generation import (
     GenerationSession,
     GenerationStream,
 )
-from repro.serving.prefetch import BlockPrefetcher, PipelinePrefetcher
+from repro.serving.prefetch import PipelinePrefetcher
 from repro.serving.scheduler import (
     ContinuousScheduler,
     Request,
@@ -81,7 +76,6 @@ __all__ = [
     "GenerationSession",
     "GenerationDriver",
     "DecodeStatePool",
-    "BlockPrefetcher",
     "PipelinePrefetcher",
     "ContinuousScheduler",
     "TokenScheduler",

@@ -1,9 +1,7 @@
 """Typed request API for the serving engine.
 
-PR 5 grew the engine's entry points a loose kwarg at a time
-(``submit(sample, priority=, deadline_ms=)``); generation serving would have
-doubled that surface again.  This module replaces the kwarg sprawl with two
-small request dataclasses:
+Two small request dataclasses describe everything a caller can ask of the
+engine:
 
 * :class:`SubmitOptions` — scheduling attributes of a one-shot forward
   (priority, queue-time deadline).  ``engine.submit(x, SubmitOptions(...))``.
@@ -12,24 +10,16 @@ small request dataclasses:
   termination (``eos_token``), delivery (``stream``), KV-cache storage
   (``kv_cache``: ``"float32"`` or an FP8 format name), plus the same
   scheduling attributes.  ``engine.generate(prompt, GenerationRequest(...))``.
-
-The legacy kwargs keep working through :func:`resolve_submit_options`, which
-folds them into a :class:`SubmitOptions` and emits one
-:class:`DeprecationWarning` per entry point — existing call sites run
-unmodified while new code gets a single typed surface.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
     "SubmitOptions",
     "GenerationRequest",
-    "resolve_submit_options",
     "WORKER_MODES",
     "validate_worker_mode",
 ]
@@ -137,50 +127,3 @@ class GenerationRequest:
                 f"kv_cache must be 'float32' or an FP8 format name, got {self.kv_cache!r}"
             )
         return self
-
-
-# one DeprecationWarning per engine entry point, not one per call
-_WARNED: set = set()
-_WARNED_LOCK = threading.Lock()
-
-
-def _warn_deprecated(method: str) -> None:
-    with _WARNED_LOCK:
-        if method in _WARNED:
-            return
-        _WARNED.add(method)
-    warnings.warn(
-        f"ServingEngine.{method}(priority=..., deadline_ms=...) kwargs are deprecated; "
-        f"pass SubmitOptions(priority=..., deadline_ms=...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_submit_options(
-    options: Optional[SubmitOptions],
-    priority: Optional[int],
-    deadline_ms: Optional[float],
-    method: str,
-) -> SubmitOptions:
-    """Fold legacy ``priority``/``deadline_ms`` kwargs into a :class:`SubmitOptions`.
-
-    Passing both the typed object and legacy kwargs is ambiguous and raises;
-    legacy kwargs alone warn once per entry point and keep working.
-    """
-    if priority is None and deadline_ms is None:
-        resolved = options if options is not None else SubmitOptions()
-        if not isinstance(resolved, SubmitOptions):
-            raise TypeError(f"options must be a SubmitOptions, got {type(resolved).__name__}")
-        return resolved.validated()
-    if options is not None:
-        raise TypeError(
-            "pass either SubmitOptions or the legacy priority/deadline_ms kwargs, not both"
-        )
-    _warn_deprecated(method)
-    resolved = SubmitOptions()
-    if priority is not None:
-        resolved = replace(resolved, priority=int(priority))
-    if deadline_ms is not None:
-        resolved = replace(resolved, deadline_ms=float(deadline_ms))
-    return resolved.validated()

@@ -110,15 +110,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
 from repro.serving import faults, ipc
-from repro.serving.api import (
-    GenerationRequest,
-    SubmitOptions,
-    resolve_submit_options,
-    validate_worker_mode,
-)
+from repro.serving.api import GenerationRequest, SubmitOptions, validate_worker_mode
 from repro.serving.errors import (
     EngineClosed,
     EngineDraining,
@@ -128,7 +123,7 @@ from repro.serving.errors import (
 )
 from repro.serving.generation import GenerationDriver, GenerationStream
 from repro.serving.scheduler import ContinuousScheduler, Request, compat_key
-from repro.serving.worker_proc import WorkerSpec, worker_main
+from repro.serving.worker_proc import WorkerSpec, forward_batch, worker_main
 
 __all__ = ["ServingEngine"]
 
@@ -292,13 +287,13 @@ class ServingEngine:
         share it (see the module docstring for the thread-safety contract).
     plan_cache:
         Compiled-plan dispatch for worker forwards (see :mod:`repro.graph`).
-        ``"auto"`` (default) installs a plan cache on each distinct replica:
+        ``True`` (default) installs a plan cache on each distinct replica:
         the first forward for a scheduler compat-key traces and compiles a
         fused plan, and steady-state batched traffic replays it with zero
         per-layer Python dispatch (plan lookup is thread-safe; replay buffers
         are per-thread, so shared-model workers replay concurrently).  Eager
         execution remains the fallback — and the bit-exactness oracle — for
-        untraceable models, so ``"auto"`` is always safe.  ``False`` disables
+        untraceable models, so ``True`` is always safe.  ``False`` disables
         plan dispatch entirely.  Aggregated cache counters appear in
         :attr:`stats` under ``"plan_cache"``.
     decode_slots:
@@ -310,12 +305,6 @@ class ServingEngine:
         Optional cap in **bytes** on per-storage decode-state memory; when
         given, ``decode_slots`` is lowered to ``budget // row_nbytes`` (the
         cost of one float32 cache row at full capacity).
-    generation_admission:
-        ``"continuous"`` (default) co-batches prefills of new generation
-        requests with decode steps of in-flight ones each tick;
-        ``"drain"`` admits new requests only once the running set empties —
-        the lock-step baseline ``benchmarks/bench_generation.py`` measures
-        against.
     max_queue_depth:
         Optional cap on queued one-shot requests.  At the cap, admission
         fast-fails with :class:`~repro.serving.errors.QueueFull` (or sheds
@@ -382,10 +371,9 @@ class ServingEngine:
         pad_value: float = 0.0,
         slice_padded_outputs: bool = True,
         workers: Optional[int] = None,
-        plan_cache: Union[str, bool] = "auto",
+        plan_cache: bool = True,
         decode_slots: int = 16,
         decode_memory_budget: Optional[int] = None,
-        generation_admission: str = "continuous",
         max_queue_depth: Optional[int] = None,
         shed_policy: str = "reject",
         hung_forward_timeout_ms: Optional[float] = None,
@@ -427,14 +415,10 @@ class ServingEngine:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size!r}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms!r}")
-        if plan_cache not in ("auto", True, False):
-            raise ValueError(f"plan_cache must be 'auto', True or False, got {plan_cache!r}")
+        if not isinstance(plan_cache, bool):
+            raise ValueError(f"plan_cache must be True or False, got {plan_cache!r}")
         if int(decode_slots) < 1:
             raise ValueError(f"decode_slots must be >= 1, got {decode_slots!r}")
-        if generation_admission not in ("continuous", "drain"):
-            raise ValueError(
-                f"generation_admission must be 'continuous' or 'drain', got {generation_admission!r}"
-            )
         if hung_forward_timeout_ms is not None and hung_forward_timeout_ms <= 0:
             raise ValueError(
                 f"hung_forward_timeout_ms must be > 0, got {hung_forward_timeout_ms!r}"
@@ -472,7 +456,6 @@ class ServingEngine:
         self.slice_padded_outputs = bool(slice_padded_outputs)
         self.decode_slots = int(decode_slots)
         self.decode_memory_budget = decode_memory_budget
-        self.generation_admission = generation_admission
         self.max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
         self.shed_policy = shed_policy
         self.hung_forward_timeout_s = (
@@ -537,9 +520,7 @@ class ServingEngine:
                         "ServingEngine.from_checkpoint(..., worker_mode='process'), "
                         "which ships the checkpoint path instead of the model"
                     ) from exc
-                self._worker_spec = WorkerSpec(
-                    model_pickle=blob, plan_cache=bool(plan_cache)
-                )
+                self._worker_spec = WorkerSpec(model_pickle=blob, plan_cache=plan_cache)
             self._slots: List[_WorkerSlot] = [
                 self._start_process_slot(index) for index in range(workers)
             ]
@@ -564,7 +545,7 @@ class ServingEngine:
         mmap: bool = True,
         serving_mode: str = "streaming",
         block_channels: Optional[int] = None,
-        prefetch: Union[bool, str, None] = True,
+        prefetch: Union[bool, str, None] = "pipeline",
         workers: int = 1,
         worker_mode: str = "thread",
         **engine_kwargs,
@@ -576,9 +557,10 @@ class ServingEngine:
         ``workers > 1`` and ``mmap=True`` the replicas share **one** file
         mapping via ``share_views=True``, so the packed bytes are mapped
         exactly once per process), puts every wrapper into ``serving_mode``
-        with the requested block size and prefetch setting
-        (``prefetch="pipeline"`` enables cross-layer pipelined block decode),
-        and returns a running engine with one worker per replica.
+        with the requested block size and prefetch setting (the default
+        ``prefetch="pipeline"`` enables cross-layer pipelined block decode,
+        ``False`` decodes inline), and returns a running engine with one
+        worker per replica.
 
         ``worker_mode="process"`` instead ships the *checkpoint path* to
         ``workers`` worker processes: each child re-runs
@@ -608,7 +590,7 @@ class ServingEngine:
                 serving_mode=serving_mode,
                 block_channels=block_channels,
                 prefetch=prefetch,
-                plan_cache=bool(engine_kwargs.get("plan_cache", "auto")),
+                plan_cache=engine_kwargs.get("plan_cache", True),
             )
             template = load_quantized(path, model_factory, mmap=mmap)
             set_serving_mode(
@@ -738,14 +720,7 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # request API
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        sample,
-        options: Optional[SubmitOptions] = None,
-        *,
-        priority: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> Future:
+    def submit(self, sample, options: Optional[SubmitOptions] = None) -> Future:
         """Enqueue one sample; the Future resolves to its output array.
 
         ``options`` is a :class:`~repro.serving.api.SubmitOptions`:
@@ -759,12 +734,15 @@ class ServingEngine:
         exception for ordinary forward errors).  Admission can fail fast:
         :class:`~repro.serving.errors.EngineClosed` /
         :class:`~repro.serving.errors.EngineDraining` by lifecycle state,
-        :class:`~repro.serving.errors.QueueFull` at the queue-depth cap.  The
-        bare ``priority=``/``deadline_ms=`` kwargs are deprecated shims (a
+        :class:`~repro.serving.errors.QueueFull` at the queue-depth cap.  A
         zero or negative deadline budget can never be met, so it is rejected
-        loudly instead of guaranteeing a DeadlineExceeded).
+        loudly instead of guaranteeing a DeadlineExceeded.
         """
-        options = resolve_submit_options(options, priority, deadline_ms, "submit")
+        if options is None:
+            options = SubmitOptions()
+        elif not isinstance(options, SubmitOptions):
+            raise TypeError(f"options must be a SubmitOptions, got {type(options).__name__}")
+        options = options.validated()
         if isinstance(sample, Tensor):
             sample = sample.data
         sample = np.asarray(sample)
@@ -812,12 +790,8 @@ class ServingEngine:
         sample,
         options: Optional[SubmitOptions] = None,
         timeout: Optional[float] = None,
-        *,
-        priority: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
     ) -> np.ndarray:
         """Blocking single-request convenience: submit + wait."""
-        options = resolve_submit_options(options, priority, deadline_ms, "serve")
         return self.submit(sample, options).result(timeout=timeout)
 
     def serve_batch(
@@ -825,9 +799,6 @@ class ServingEngine:
         samples: Sequence,
         options: Optional[SubmitOptions] = None,
         timeout: Optional[float] = None,
-        *,
-        priority: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
     ) -> List[np.ndarray]:
         """Submit a burst of samples and wait for all results (input order).
 
@@ -836,7 +807,6 @@ class ServingEngine:
         same clock as result *k+1*, so the call never blocks longer than
         ``timeout`` in total (it used to wait up to ``timeout × len(samples)``).
         """
-        options = resolve_submit_options(options, priority, deadline_ms, "serve_batch")
         futures = [self.submit(sample, options) for sample in samples]
         deadline = None if timeout is None else time.monotonic() + float(timeout)
         results = []
@@ -905,7 +875,6 @@ class ServingEngine:
                 driver = GenerationDriver(
                     self.model,
                     slots=self.decode_slots,
-                    admission=self.generation_admission,
                     memory_budget=self.decode_memory_budget,
                     max_waiting=self.max_queue_depth,
                 )
@@ -1185,9 +1154,7 @@ class ServingEngine:
                 # per-group cost of process mode, not just child compute
                 output = self._ipc_forward(slot, stacked)
             else:
-                with no_grad():
-                    output = model(Tensor(stacked))
-                output = output.data if isinstance(output, Tensor) else np.asarray(output)
+                output = forward_batch(model, stacked)
             forward_s = time.perf_counter() - t0
             if output.shape[0] != len(samples):
                 raise RuntimeError(

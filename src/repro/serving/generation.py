@@ -290,7 +290,6 @@ class GenerationDriver:
         self,
         model,
         slots: int = 16,
-        admission: str = "continuous",
         memory_budget: Optional[int] = None,
         max_waiting: Optional[int] = None,
     ) -> None:
@@ -303,7 +302,7 @@ class GenerationDriver:
         if memory_budget is not None:
             probe = model.new_decode_state(1, storage="float32")
             slots = min(int(slots), max(1, int(memory_budget) // max(1, probe.row_nbytes)))
-        self._scheduler = TokenScheduler(int(slots), admission=admission, max_waiting=max_waiting)
+        self._scheduler = TokenScheduler(int(slots), max_waiting=max_waiting)
         self._pools: Dict[str, DecodeStatePool] = {}
         self._cond = threading.Condition()
         self._thread: Optional[threading.Thread] = None

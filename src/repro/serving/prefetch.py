@@ -1,55 +1,32 @@
-"""Block prefetch for streaming serving: per-layer double buffering and
-cross-layer pipelining.
+"""Cross-layer pipelined block decode for streaming serving.
 
 Streaming mode decodes a packed weight in output-channel blocks and feeds
 each float32 block to a matmul.  Run sequentially, the decode and the matmul
-serialise: the CPU alternates between the dequantize kernel and BLAS.
-:class:`BlockPrefetcher` overlaps them — a background thread decodes block
-*k+1* (via :meth:`~repro.fp8.quantize.QuantizedTensor.dequantize_block`)
-while the caller runs block *k*'s matmul.  Both sides are numpy calls that
-release the GIL, so the overlap is real on a multi-core host.
-
-The hand-off is a bounded queue of ``depth`` ready blocks (default 1: one
-block in flight on each side — classic double buffering), which also bounds
-the transient float32 working set to ``(depth + 2)`` blocks.  Decode order,
-block boundaries and the decode kernel itself are identical to the
-sequential path, so prefetched outputs are bit-identical to non-prefetched
-streaming (and to cached mode, which shares the same codes).
-
-Worker failures propagate: an exception raised inside ``dequantize_block``
-surfaces in the consuming thread at the point of iteration as a
-:class:`~repro.serving.errors.PrefetchError` chained ``from`` the original
-exception — the worker-side traceback survives the thread hop instead of
-being flattened into a bare re-raise.  Abandoning the iterator mid-stream
-(e.g. a caller error between blocks) stops the worker promptly via a shared
-event rather than leaking a blocked thread.
-
-Cross-layer pipelining
-----------------------
-Per-layer prefetch still stalls at every layer boundary: when layer *k*'s
-matmul consumes its last block, layer *k+1*'s first block has not started
-decoding, so the forward waits one full block-decode latency per boundary —
-and each forward pass spawns (and joins) one short-lived thread per layer.
+serialise, and every layer boundary stalls: when layer *k*'s matmul consumes
+its last block, layer *k+1*'s first block has not started decoding.
 :class:`PipelinePrefetcher` removes both costs.  It owns the model's
 streaming layers *in execution order* and a persistent shared decode pool,
 and maintains a sliding window of ``depth`` decode tasks over the
 **concatenated** block sequence of all layers: as layer *k*'s tail blocks
-are consumed, the window naturally slides into layer *k+1*'s head blocks, so
-their decode overlaps layer *k*'s remaining matmuls and the boundary stall
-disappears.  With a pool of ``workers >= 2`` threads, block decodes also run
-in parallel with each other (the decode kernels release the GIL), which is
-where the throughput headroom on a multi-core host comes from.
+are consumed, the window slides into layer *k+1*'s head blocks, so their
+decode overlaps layer *k*'s remaining matmuls.  With a pool of
+``workers >= 2`` threads, block decodes also run in parallel with each other
+(the decode kernels release the GIL).
 
 Window state is **thread-local**: concurrent forwards (e.g. a multi-worker
 :class:`~repro.serving.engine.ServingEngine` sharing one model) each get
 their own pipeline run over the shared pool, so runs never interleave.
 Decode results, order and boundaries are identical to the sequential path —
 pipelined outputs stay bit-identical to cached mode.
+
+Decode failures propagate: an exception raised inside ``dequantize_block``
+on a pool thread surfaces in the consuming layer as a
+:class:`~repro.serving.errors.PrefetchError` chained ``from`` the original
+exception, so the decode traceback survives the thread hop.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -57,91 +34,10 @@ from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.fp8.quantize import QuantizedTensor
 from repro.serving import faults
 from repro.serving.errors import PrefetchError
 
-__all__ = ["BlockPrefetcher", "PipelinePrefetcher"]
-
-#: sentinel the worker enqueues after the last block
-_DONE = object()
-
-#: how often a blocked queue hand-off re-checks the shared stop event (s)
-_POLL_S = 0.05
-
-
-class BlockPrefetcher:
-    """Iterate ``(start, stop, float32 block)`` with background decode-ahead.
-
-    Each iteration pass spawns a fresh daemon worker thread, so one
-    prefetcher instance can be re-iterated (one pass at a time) — e.g. a
-    streaming layer serving many forward calls.
-    """
-
-    def __init__(
-        self,
-        tensor: QuantizedTensor,
-        block_channels: int,
-        axis: int = 0,
-        depth: int = 1,
-    ) -> None:
-        if int(block_channels) < 1:
-            raise ValueError(f"block_channels must be >= 1, got {block_channels!r}")
-        if int(depth) < 1:
-            raise ValueError(f"depth must be >= 1, got {depth!r}")
-        self.tensor = tensor
-        self.block_channels = int(block_channels)
-        self.axis = axis
-        self.depth = int(depth)
-
-    def spans(self) -> Iterator[Tuple[int, int]]:
-        """The block boundaries, in decode order (identical to sequential)."""
-        dim = self.tensor.shape[self.axis]
-        for start in range(0, dim, self.block_channels):
-            yield start, min(start + self.block_channels, dim)
-
-    def __iter__(self) -> Iterator[Tuple[int, int, np.ndarray]]:
-        ready: queue.Queue = queue.Queue(maxsize=self.depth)
-        stop = threading.Event()
-
-        def _put(item) -> bool:
-            """Enqueue, re-checking for consumer abandonment; False = stopped."""
-            while not stop.is_set():
-                try:
-                    ready.put(item, timeout=_POLL_S)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _decode_ahead() -> None:
-            try:
-                for start, stop_channel in self.spans():
-                    if stop.is_set():
-                        return
-                    faults.fire("prefetch.decode", start=start, stop=stop_channel)
-                    block = self.tensor.dequantize_block(start, stop_channel, axis=self.axis)
-                    if not _put((start, stop_channel, block)):
-                        return
-                _put(_DONE)
-            except BaseException as exc:  # noqa: BLE001 - relayed to the consumer
-                _put(exc)
-
-        worker = threading.Thread(target=_decode_ahead, name="repro-block-prefetch", daemon=True)
-        worker.start()
-        try:
-            while True:
-                item = ready.get()
-                if item is _DONE:
-                    return
-                if isinstance(item, BaseException):
-                    # chain instead of bare-raising the worker's exception:
-                    # the decode traceback survives the thread hop as __cause__
-                    raise PrefetchError(f"block prefetch worker failed: {item}") from item
-                yield item
-        finally:
-            stop.set()
-            worker.join(timeout=5.0)
+__all__ = ["PipelinePrefetcher"]
 
 
 class _PipelineRun:

@@ -453,9 +453,7 @@ class TokenScheduler:
       was admitted fail with :class:`DeadlineExceeded` (a *running* session is
       never killed by its deadline);
     * **admission** — waiting sessions start, most urgent first, while slots
-      remain (``admission="continuous"``: new prefills co-batch with in-flight
-      decodes; ``admission="drain"``: nothing is admitted until the running
-      set empties — the lock-step baseline the benchmark compares against);
+      remain, so new prefills co-batch with in-flight decodes;
     * **preemption** — when slots are exhausted, a waiting session may evict
       **strictly less urgent** running sessions (least urgent first).  The
       strictness is the anti-thrash rule: an evictee can never immediately
@@ -473,17 +471,13 @@ class TokenScheduler:
     def __init__(
         self,
         total_slots: int,
-        admission: str = "continuous",
         max_waiting: Optional[int] = None,
     ) -> None:
         if int(total_slots) < 1:
             raise ValueError(f"total_slots must be >= 1, got {total_slots!r}")
-        if admission not in ("continuous", "drain"):
-            raise ValueError(f"admission must be 'continuous' or 'drain', got {admission!r}")
         if max_waiting is not None and int(max_waiting) < 1:
             raise ValueError(f"max_waiting must be >= 1, got {max_waiting!r}")
         self.total_slots = int(total_slots)
-        self.admission = admission
         self.max_waiting = None if max_waiting is None else int(max_waiting)
         self._waiting: List = []
         self._running: List = []
@@ -561,9 +555,6 @@ class TokenScheduler:
 
         admitted: List = []
         preempted: List = []
-        if self.admission == "drain" and self._running:
-            return admitted, preempted, expired
-
         free = self.free_slots
         for item in sorted(self._waiting, key=self._urgency):
             if item.slots <= free:

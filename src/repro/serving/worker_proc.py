@@ -36,9 +36,27 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
+from repro.autograd.tensor import Tensor, no_grad
 from repro.serving.ipc import Channel, WorkerProcessDied, wrap_exception
 
-__all__ = ["WorkerSpec", "worker_main"]
+__all__ = ["WorkerSpec", "forward_batch", "worker_main"]
+
+
+def forward_batch(model, batch: np.ndarray) -> np.ndarray:
+    """Run one stacked batch through ``model`` under ``no_grad``; return an array.
+
+    The one model call of both worker modes.  Floating batches are wrapped
+    in ``Tensor``; integer batches (token ids) are passed as the int64 array
+    token-id models index with, because a ``Tensor`` would recast them to
+    float32.
+    """
+    if np.issubdtype(batch.dtype, np.integer):
+        inputs = batch.astype(np.int64, copy=False)
+    else:
+        inputs = Tensor(batch)
+    with no_grad():
+        output = model(inputs)
+    return output.data if isinstance(output, Tensor) else np.asarray(output)
 
 
 @dataclass
@@ -57,7 +75,7 @@ class WorkerSpec:
     mmap: bool = True
     serving_mode: Optional[str] = "streaming"
     block_channels: Optional[int] = None
-    prefetch: Union[bool, str, None] = True
+    prefetch: Union[bool, str, None] = "pipeline"
     plan_cache: bool = True
 
     def build(self):
@@ -106,9 +124,6 @@ def _mapped_files() -> int:
 
 def worker_main(conn, spec: WorkerSpec) -> None:
     """Child entrypoint: build the replica, then serve ``forward`` messages."""
-    # imported here so pickled specs fail loudly in the child, not the parent
-    from repro.autograd.tensor import Tensor, no_grad
-
     channel = Channel(conn)
     try:
         model = spec.build()
@@ -133,10 +148,8 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             continue  # unknown frames are ignored, not fatal
         try:
             t0 = time.perf_counter()
-            with no_grad():
-                output = model(Tensor(payload))
+            output = forward_batch(model, payload)
             forward_s = time.perf_counter() - t0
-            output = output.data if isinstance(output, Tensor) else np.asarray(output)
             channel.send("result", seq, (np.ascontiguousarray(output), forward_s))
         except WorkerProcessDied:
             return

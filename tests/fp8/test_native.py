@@ -6,12 +6,8 @@ The contract under test (see :mod:`repro.fp8.native`):
   ``fast`` path on every input — all formats, per-tensor and per-channel
   scales, ragged shapes, NaN/inf codes (including NaN payload bits), empty
   arrays — verified by comparing uint32 views;
-* the opt-in fused decode → rescale → FMA matmul is exact where every
-  partial sum is exactly representable (any accumulation order agrees), and
-  eager/plan-replay always agree bit-for-bit because both run the same
-  kernel;
-* plan replay under the native node compiler is bit-identical to eager for
-  both ``REPRO_FP8_KERNEL`` numpy settings and for the native tier;
+* the native tier keeps BLAS for the FLOPs, so streaming and cached
+  forwards — eager and plan replay — are bit-identical to the ``fast`` tier;
 * with no C compiler the tier resolves to ``fast`` with a single warning and
   everything keeps working.
 """
@@ -191,85 +187,72 @@ class TestDispatchIntegration:
 
 
 # ----------------------------------------------------------------------
-# fused decode → rescale → FMA matmul (opt-in)
+# the streaming matmul: native decode per block, BLAS for the FLOPs
 # ----------------------------------------------------------------------
-class _FakeWQ:
-    def __init__(self, fmt, codes, scale):
-        self.fmt = fmt
-        self.codes = codes
-        self.scale = scale
-        self.zero_point = None
+def _streaming_linear(per_row, block=16):
+    """One quantized 129 → 37 linear layer streaming in ``block``-row blocks.
 
-
-def exact_regime_case(rng, n, rows, cols, fmt=E4M3, per_row=True):
-    """A matmul whose partial sums are all exactly representable.
-
-    Activations are small integers and the decoded weights are scaled powers
-    of two, so every product and every partial sum is an exact small-ish
-    float32 integer multiple — any accumulation order yields identical bits,
-    which makes the sequential C kernel comparable against BLAS *exactly*.
+    37 output channels in 16-row blocks leave a ragged 5-row tail block.
     """
-    # codes 0x38/0xB8 decode to ±1.0 in E4M3; scale of 0.5 doubles them
-    codes = rng.choice(np.array([0x38, 0xB8, 0x00], dtype=np.uint8), (rows, cols))
-    scale = np.full((rows, 1), 0.5) if per_row else np.asarray(0.5)
-    x = rng.integers(-4, 5, (n, cols)).astype(np.float32)
-    lut = _decode_lut(fmt)
-    w = (lut[codes].astype(np.float64) / np.asarray(scale)).astype(np.float32)
-    return _FakeWQ(fmt, codes, scale), x, x @ w.T
+    from repro import nn
+    from repro.quantization import quantize_model, set_serving_mode, standard_recipe
+    from repro.quantization.qconfig import Approach, Granularity
+
+    recipe = standard_recipe(
+        "E4M3",
+        approach=Approach.DYNAMIC,
+        weight_granularity=Granularity.PER_CHANNEL if per_row else Granularity.PER_TENSOR,
+        skip_first_operator=False,
+        skip_last_operator=False,
+    )
+    model = nn.Sequential(nn.Linear(129, 37, rng=np.random.default_rng(3)))
+    qmodel = quantize_model(model, recipe).model
+    qmodel.eval()
+    set_serving_mode(qmodel, "streaming", block_channels=block, prefetch=False)
+    return qmodel
 
 
-class TestFusedFMA:
+class TestNativeStreamingMatmul:
     @pytest.mark.parametrize("n", [1, 2, 8, 9, 40], ids=lambda n: f"n{n}")
     @pytest.mark.parametrize("per_row", [True, False], ids=["channel", "tensor"])
-    def test_exact_regime_matches_blas_bitwise(self, n, per_row):
-        rng = np.random.default_rng(n)
-        wq, x, want = exact_regime_case(rng, n, rows=37, cols=129, per_row=per_row)
-        y = np.empty((n, 37), dtype=np.float32)
-        assert native.qlinear_fma(wq, x, y)
-        assert_bits_equal(y, want)
+    def test_matches_fast_bitwise(self, monkeypatch, n, per_row):
+        # every weight block decodes through the C kernel and the matmul
+        # stays on BLAS, so the output equals the fast tier's bit for bit at
+        # every batch size and both weight-scale granularities
+        from repro.autograd.tensor import Tensor, no_grad
 
-    def test_plan_binding_matches_runtime_dispatch(self):
-        rng = np.random.default_rng(0)
-        wq, x, _ = exact_regime_case(rng, 3, rows=16, cols=64)
-        y_dispatch = np.empty((3, 16), dtype=np.float32)
-        assert native.qlinear_fma(wq, x, y_dispatch)
-        bound = native.plan_qlinear_fma(wq, 3)
-        assert bound is not None
-        y_bound = np.empty((3, 16), dtype=np.float32)
-        bound(x, y_bound)
-        assert_bits_equal(y_bound, y_dispatch)
+        qmodel = _streaming_linear(per_row)
+        x = Tensor(np.random.default_rng(n).normal(0, 1, (n, 129)).astype(np.float32))
+        decoded = []
+        decode_rescale = native.decode_rescale
 
-    def test_batch_specialisations_agree_with_generic(self):
-        # the same inputs through the n-specialised kernel (n <= GENERIC_ROWS)
-        # and sliced through the generic kernel must agree exactly: identical
-        # per-row sequential accumulation, just unrolled differently
-        rng = np.random.default_rng(1)
-        big_n = codegen.GENERIC_ROWS + 5
-        wq, x, _ = exact_regime_case(rng, big_n, rows=11, cols=96)
-        y_generic = np.empty((big_n, 11), dtype=np.float32)
-        assert native.qlinear_fma(wq, x, y_generic)
-        for n in (1, 3, codegen.GENERIC_ROWS):
-            xs = np.ascontiguousarray(x[:n])
-            y_spec = np.empty((n, 11), dtype=np.float32)
-            assert native.qlinear_fma(wq, xs, y_spec)
-            assert_bits_equal(y_spec, y_generic[:n])
+        def counting_decode(codes, fmt, scale):
+            decoded.append(codes.shape)
+            return decode_rescale(codes, fmt, scale)
 
-    def test_fma_requires_opt_in(self, monkeypatch):
-        monkeypatch.delenv(native.FMA_ENV_VAR, raising=False)
-        assert not native.fma_enabled()
-        monkeypatch.setenv(native.FMA_ENV_VAR, "1")
-        assert native.fma_enabled()
+        monkeypatch.setattr(native, "decode_rescale", counting_decode)
+        with no_grad():
+            with use_kernel("native"):
+                got = qmodel(x).data
+            with use_kernel("fast"):
+                want = qmodel(x).data
+        assert decoded == [(16, 129), (16, 129), (5, 129)]
+        assert got.shape == (n, 37)
+        assert_bits_equal(got, want)
 
-    def test_empty_batch_zero_fills(self):
-        wq, _, _ = exact_regime_case(np.random.default_rng(2), 1, rows=4, cols=8)
-        y = np.full((0, 4), np.nan, dtype=np.float32)
-        assert native.qlinear_fma(wq, np.empty((0, 8), np.float32), y)
+    def test_empty_batch(self):
+        from repro.autograd.tensor import Tensor, no_grad
+
+        qmodel = _streaming_linear(per_row=True)
+        with no_grad(), use_kernel("native"):
+            y = qmodel(Tensor(np.empty((0, 129), dtype=np.float32))).data
+        assert y.shape == (0, 37) and y.dtype == np.float32
 
 
 # ----------------------------------------------------------------------
-# native node compiler in the plan cache (the second wiring layer)
+# whole forwards: the native tier is bit-identical to fast on every path
 # ----------------------------------------------------------------------
-class TestNativePlanCompiler:
+class TestNativeForwards:
     def _quantized_mlp(self):
         from repro import nn
         from repro.quantization import quantize_model, set_serving_mode, standard_recipe
@@ -288,20 +271,13 @@ class TestNativePlanCompiler:
         set_serving_mode(qmodel, "streaming")
         return qmodel
 
-    @pytest.mark.parametrize("fma", [False, True], ids=["decode-only", "fused-fma"])
-    def test_streaming_plan_replay_matches_eager(self, monkeypatch, fma):
-        # under the native tier the plan's streaming qlinear nodes either call
-        # _stream_matmul (decode-only: native decode per block, BLAS FLOPs) or
-        # the pre-bound single-ctypes-call kernel (REPRO_NATIVE_FMA=1); both
-        # must verify bit-for-bit against eager, because eager takes the same
-        # path — and the cache's compile-time check enforces it
+    def test_streaming_plan_replay_matches_eager(self):
+        # under the native tier the plan's streaming qlinear nodes call
+        # _stream_matmul (native decode per block, BLAS FLOPs), exactly the
+        # path eager takes — the cache's compile-time check enforces it
         from repro.autograd.tensor import Tensor, no_grad
         from repro.graph import install_plan_cache, remove_plan_cache
 
-        if fma:
-            monkeypatch.setenv(native.FMA_ENV_VAR, "1")
-        else:
-            monkeypatch.delenv(native.FMA_ENV_VAR, raising=False)
         with use_kernel("native"):
             qmodel = self._quantized_mlp()
             x = Tensor(np.random.default_rng(13).normal(0, 1, (3, 32)).astype(np.float32))
@@ -318,14 +294,31 @@ class TestNativePlanCompiler:
         assert stats["plans"] == 1 and stats["verify_failures"] == 0, stats
         np.testing.assert_array_equal(eager.data, replay.data)
 
-    def test_fma_plan_differs_without_opt_in_weights(self, monkeypatch):
-        # sanity on the gating itself: with FMA off the node compiler must
-        # not pre-bind (native_call is None -> generic closure)
-        from repro.graph.plan import _native_stream_call
+    @pytest.mark.parametrize(
+        "mode, prefetch",
+        [("cached", None), ("streaming", False), ("streaming", "pipeline")],
+        ids=["cached", "streaming", "pipeline"],
+    )
+    def test_native_forward_bit_identical_to_fast(self, monkeypatch, mode, prefetch):
+        # the environment (not a thread-local override) selects the tier, so
+        # pipeline decode threads run it too; dropping the weight caches makes
+        # cached mode re-decode under each tier
+        from repro.autograd.tensor import Tensor, no_grad
+        from repro.fp8.kernels import KERNEL_ENV_VAR
+        from repro.quantization import QuantizedModule, set_serving_mode
 
-        monkeypatch.delenv(native.FMA_ENV_VAR, raising=False)
-        with use_kernel("native"):
-            assert _native_stream_call(object(), None, None) is None
+        qmodel = self._quantized_mlp()
+        set_serving_mode(qmodel, mode, prefetch=prefetch)
+        x = Tensor(np.random.default_rng(5).normal(0, 1, (4, 32)).astype(np.float32))
+        outputs = {}
+        for kernel in ("fast", "native"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+            for module in qmodel.modules():
+                if isinstance(module, QuantizedModule):
+                    module.drop_weight_cache()
+            with no_grad():
+                outputs[kernel] = qmodel(x).data
+        assert_bits_equal(outputs["native"], outputs["fast"])
 
 
 # ----------------------------------------------------------------------
@@ -337,16 +330,11 @@ class TestCodegen:
         assert a == codegen.render_decode_kernel(E4M3, True)
         assert a != codegen.render_decode_kernel(E4M3, False)
         assert a != codegen.render_decode_kernel(E5M2, True)
-        assert codegen.render_fma_kernel(E4M3, True, 2) != codegen.render_fma_kernel(E4M3, True, 3)
 
     def test_lut_bits_are_exact(self):
         src = codegen.render_decode_kernel(E4M3, False)
         for bits in _decode_lut(E4M3).view(np.uint32)[:8]:
             assert f"0x{int(bits):08x}u" in src
-
-    def test_invalid_block_shape_raises(self):
-        with pytest.raises(ValueError):
-            codegen.render_fma_kernel(E4M3, True, codegen.GENERIC_ROWS + 1)
 
 
 # ----------------------------------------------------------------------
@@ -379,5 +367,4 @@ class TestNoCompilerFallback:
                 got = fp8_dequantize_channelwise(codes, E4M3, scale)
             assert not native.native_available()
             assert native.decode_rescale(codes, E4M3, scale) is None
-            assert native.plan_qlinear_fma(_FakeWQ(E4M3, codes, scale), 2) is None
         assert_bits_equal(got, numpy_fast_decode(codes, E4M3, scale))

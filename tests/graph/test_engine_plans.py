@@ -48,8 +48,9 @@ class TestEnginePlanCache:
             assert "plan_cache" not in engine.stats
 
     def test_invalid_plan_cache_value_rejected(self):
-        with pytest.raises(ValueError):
-            ServingEngine(_mlp(), plan_cache="always")
+        for value in ("always", "auto", 1):
+            with pytest.raises(ValueError, match="plan_cache"):
+                ServingEngine(_mlp(), plan_cache=value)
 
     def test_multi_worker_shared_model_single_cache(self):
         model = _mlp()

@@ -1,5 +1,6 @@
 """Deploy (restore-free) mode, serving modes and the cache-drop bugfix."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import repro.nn as nn
 from repro.autograd.tensor import Tensor
+from repro.fp8.quantize import QuantizedTensor
 from repro.quantization import (
     Approach,
     QuantizedModule,
@@ -291,10 +293,10 @@ class TestStreamingBlockConfig:
     def test_prefetch_flag_roundtrips_through_set_serving_mode(self):
         model, wrapper = self._linear_wrapper()
         assert wrapper.streaming_prefetch is False
-        set_serving_mode(model, "streaming", prefetch=True)
-        assert wrapper.streaming_prefetch is True
+        set_serving_mode(model, "streaming", prefetch="pipeline")
+        assert wrapper.streaming_prefetch == "pipeline"
         set_serving_mode(model, "streaming")  # None leaves it untouched
-        assert wrapper.streaming_prefetch is True
+        assert wrapper.streaming_prefetch == "pipeline"
         set_serving_mode(model, "streaming", prefetch=False)
         assert wrapper.streaming_prefetch is False
 
@@ -374,11 +376,11 @@ class TestPipelineServingMode:
         model = self._deep_model()
         set_serving_mode(model, "streaming", prefetch="pipeline")
         assert all(w._pipeline is not None for w in _wrappers(model))
-        set_serving_mode(model, "streaming", prefetch=True)
+        set_serving_mode(model, "streaming", prefetch=False)
         assert all(w._pipeline is None for w in _wrappers(model))
-        assert all(w.streaming_prefetch is True for w in _wrappers(model))
+        assert all(w.streaming_prefetch is False for w in _wrappers(model))
 
-    def test_pipeline_without_wiring_falls_back_to_per_layer(self):
+    def test_pipeline_without_wiring_decodes_sequentially(self, monkeypatch):
         model = self._deep_model()
         wrapper = _wrappers(model)[0]
         probe = _probe(shape=(32, 24), seed=23)
@@ -387,10 +389,21 @@ class TestPipelineServingMode:
         for w in _wrappers(model):
             w.set_serving_mode("streaming", prefetch="pipeline")
         assert all(w._pipeline is None for w in _wrappers(model))
+        decode_threads = set()
+        real = QuantizedTensor.dequantize_block
+
+        def _spy(self, start, stop, axis=0):
+            decode_threads.add(threading.get_ident())
+            return real(self, start, stop, axis=axis)
+
+        monkeypatch.setattr(QuantizedTensor, "dequantize_block", _spy)
         assert np.array_equal(model(probe).data, cached_out)
         assert wrapper.streaming_prefetch == "pipeline"
+        # every block decoded inline on the calling thread
+        assert decode_threads == {threading.get_ident()}
 
     def test_invalid_prefetch_value_rejected(self):
         model = self._deep_model()
-        with pytest.raises(ValueError, match="prefetch"):
-            set_serving_mode(model, "streaming", prefetch="psychic")
+        for value in ("psychic", True):
+            with pytest.raises(ValueError, match="prefetch"):
+                set_serving_mode(model, "streaming", prefetch=value)

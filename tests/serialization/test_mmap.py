@@ -199,7 +199,7 @@ class TestLoadQuantizedMmap:
         path = str(tmp_path / "m.rpq")
         save_quantized(result.model, path)
         mapped = load_quantized(path, _mlp, mmap=True)
-        set_serving_mode(mapped, "streaming", block_channels=16, prefetch=True)
+        set_serving_mode(mapped, "streaming", block_channels=16, prefetch="pipeline")
         assert np.allclose(mapped(probe).data, expected, rtol=1e-5, atol=1e-6)
         for wrapper in _wrappers(mapped):
             assert wrapper._weight_cache is None

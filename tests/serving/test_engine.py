@@ -1,5 +1,6 @@
 """ServingEngine: continuous batching, multi-worker execution, padding, lifecycle."""
 
+import sys
 import threading
 import time
 
@@ -9,8 +10,8 @@ import pytest
 import repro.nn as nn
 from repro.autograd.tensor import Tensor, no_grad
 from repro.nn.module import Module
-from repro.quantization import Approach, quantize_model, standard_recipe
-from repro.serving import DeadlineExceeded, ServingEngine
+from repro.quantization import Approach, QuantizedLinear, quantize_model, standard_recipe
+from repro.serving import DeadlineExceeded, ServingEngine, SubmitOptions
 
 
 class SlowIdentity(Module):
@@ -86,6 +87,33 @@ class TestBatching:
         with ServingEngine(model, max_wait_ms=1) as engine:
             out = engine.serve(sample, timeout=10)
         assert np.allclose(out, expected, rtol=1e-5, atol=1e-6)
+
+
+def _token_classifier():
+    from repro.models.transformer import BertStyleClassifier
+
+    model = BertStyleClassifier(vocab_size=32, max_seq_len=16, embed_dim=16, num_layers=1, rng=4)
+    return model.eval()
+
+
+def _token_batch(count=4, length=12, seed=6, dtype=np.int64):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 32, length).astype(dtype) for _ in range(count)]
+
+
+class TestTokenIdModels:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_token_id_model_served_bit_identical_to_direct_call(self, dtype):
+        # integer batches reach the model as the int64 array, not a float32
+        # Tensor, so a token-id model is served without an adapter
+        model = _token_classifier()
+        tokens = _token_batch(dtype=dtype)
+        with no_grad():
+            expected = model(np.stack(tokens)).data
+        with ServingEngine(model, max_batch_size=len(tokens), max_wait_ms=2000) as engine:
+            outputs = engine.serve_batch(tokens, timeout=30)
+            assert engine.stats["batches"] == 1
+        np.testing.assert_array_equal(np.stack(outputs), expected)
 
 
 class TestPaddingAndGrouping:
@@ -300,7 +328,9 @@ class TestContinuousBatching:
         model = SlowIdentity(delay_s=0.0)
         with ServingEngine(model, max_batch_size=8, max_wait_ms=500) as engine:
             t0 = time.monotonic()
-            out = engine.serve(np.zeros(4, dtype=np.float32), timeout=10, deadline_ms=40)
+            out = engine.serve(
+                np.zeros(4, dtype=np.float32), SubmitOptions(deadline_ms=40), timeout=10
+            )
             elapsed = time.monotonic() - t0
         assert out.shape == (4,)
         # served around the 40ms deadline, not after the 500ms window
@@ -311,7 +341,7 @@ class TestContinuousBatching:
         engine = ServingEngine(model, max_batch_size=2, max_wait_ms=1)
         blocker = engine.submit(np.zeros(4, dtype=np.float32))
         time.sleep(0.03)  # worker is busy with the blocker's forward
-        doomed = engine.submit(np.zeros(4, dtype=np.float32), deadline_ms=10)
+        doomed = engine.submit(np.zeros(4, dtype=np.float32), SubmitOptions(deadline_ms=10))
         with pytest.raises(DeadlineExceeded):
             doomed.result(timeout=10)
         assert blocker.result(timeout=10).shape == (4,)
@@ -326,8 +356,8 @@ class TestContinuousBatching:
         with ServingEngine(model, max_batch_size=2, max_wait_ms=1) as engine:
             blocker = engine.submit(np.zeros(4, dtype=np.float32))
             time.sleep(0.03)  # both later requests queue while the worker is busy
-            low = engine.submit(np.zeros(6, dtype=np.float32), priority=0)
-            high = engine.submit(np.zeros((2, 6), dtype=np.float32), priority=5)
+            low = engine.submit(np.zeros(6, dtype=np.float32), SubmitOptions(priority=0))
+            high = engine.submit(np.zeros((2, 6), dtype=np.float32), SubmitOptions(priority=5))
             low.add_done_callback(lambda f: done_order.append("low"))
             high.add_done_callback(lambda f: done_order.append("high"))
             blocker.result(timeout=10)
@@ -340,9 +370,9 @@ class TestContinuousBatching:
         # it would guarantee DeadlineExceeded
         with ServingEngine(SlowIdentity(0.0), max_wait_ms=1) as engine:
             with pytest.raises(ValueError, match="deadline_ms"):
-                engine.submit(np.zeros(3, dtype=np.float32), deadline_ms=-1)
+                engine.submit(np.zeros(3, dtype=np.float32), SubmitOptions(deadline_ms=-1))
             with pytest.raises(ValueError, match="deadline_ms"):
-                engine.submit(np.zeros(3, dtype=np.float32), deadline_ms=0)
+                engine.submit(np.zeros(3, dtype=np.float32), SubmitOptions(deadline_ms=0))
 
 
 class TestMultiWorker:
@@ -389,6 +419,54 @@ class TestMultiWorker:
         assert engine.alive_workers == 0
         for out, exp in zip(outputs[:4], expected):
             assert np.array_equal(out, exp)
+
+    def test_shared_pipelined_model_across_workers_stress(self):
+        """More workers than cores share one model and its decode pool.
+
+        Each worker's forward keeps its own thread-local decode window, so
+        every group matches a direct pipelined forward of the same rows; a
+        short switch interval forces the workers to interleave mid-window.
+        """
+        from repro.quantization import set_serving_mode
+
+        model = _streaming_quantized(seed=9)
+        set_serving_mode(model, "streaming", block_channels=4, prefetch="pipeline")
+        samples = _samples(64, seed=24)
+        with no_grad():
+            expected = [
+                model(Tensor(np.stack(samples[start : start + 4]))).data
+                for start in range(0, len(samples), 4)
+            ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingEngine(model, max_batch_size=4, max_wait_ms=2000, workers=4) as engine:
+                outputs = engine.serve_batch(samples, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.alive_workers == 0
+        np.testing.assert_array_equal(np.stack(outputs), np.concatenate(expected))
+
+    def test_from_checkpoint_defaults_to_pipelined_streaming(self, tmp_path):
+        from repro.serialization import save_quantized
+
+        result = quantize_model(
+            _mlp(seed=7), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
+        )
+        path = str(tmp_path / "mlp.rpq")
+        save_quantized(result.model, path)
+        samples = _samples(32, seed=23)
+        with no_grad():
+            cached = result.model(Tensor(np.stack(samples))).data
+        with ServingEngine.from_checkpoint(
+            path, lambda: _mlp(seed=7), workers=2, max_batch_size=32, max_wait_ms=2000
+        ) as engine:
+            wrappers = [m for m in engine.replicas[0].modules() if isinstance(m, QuantizedLinear)]
+            assert wrappers and all(w.serving_mode == "streaming" for w in wrappers)
+            assert all(w._pipeline is not None for w in wrappers)
+            outputs = engine.serve_batch(samples, timeout=30)
+        # one full 32-row group: pipelined streaming == cached bit for bit
+        np.testing.assert_array_equal(np.stack(outputs), cached)
 
 
 class TestObservability:

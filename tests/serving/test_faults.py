@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.models.transformer import GPTStyleLM
 from repro.serving import (
-    BlockPrefetcher,
     EngineClosed,
     EngineDraining,
     FaultInjector,
@@ -40,8 +39,7 @@ from repro.serving import (
     injected,
 )
 from repro.serving import faults as faults_mod
-from repro.fp8 import E4M3
-from repro.fp8.quantize import QuantizedTensor
+from repro.quantization import Approach, quantize_model, set_serving_mode, standard_recipe
 
 
 @pytest.fixture(autouse=True)
@@ -467,16 +465,40 @@ class TestGenerationFaults:
 
 
 class TestPrefetchFaults:
-    def test_block_prefetch_error_is_typed_and_chained(self):
-        x = np.random.default_rng(0).normal(0, 1, (64, 16)).astype(np.float32)
-        wq = QuantizedTensor.quantize(x, E4M3, axis=0)
+    def test_pipelined_decode_error_is_typed_and_chained(self):
+        """A decode failure on a pipeline pool thread reaches the forward typed."""
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(
+            nn.Linear(16, 48, rng=rng), nn.ReLU(), nn.Linear(48, 16, rng=rng)
+        ).eval()
+        model = quantize_model(model, standard_recipe("E4M3", approach=Approach.DYNAMIC)).model
+        # >= 32 rows: the full-width and per-block matmuls hit the same BLAS
+        # kernel, so streaming is bit-identical to cached mode
+        probe = Tensor(rng.normal(0, 1, (32, 16)).astype(np.float32))
+        cached = model(probe).data
+        set_serving_mode(model, "streaming", block_channels=16, prefetch="pipeline")
         with injected({"prefetch.decode": FaultSpec(kind="error", on_calls={2}, max_fires=1)}):
-            prefetcher = BlockPrefetcher(wq, block_channels=16)
-            with pytest.raises(PrefetchError, match="prefetch worker failed") as info:
-                list(prefetcher)
+            with pytest.raises(PrefetchError, match="pipelined block decode failed") as info:
+                model(probe)
         assert isinstance(info.value.__cause__, InjectedError)
         assert isinstance(info.value, ServingError)
-        # a clean pass afterwards decodes bit-identically
-        blocks = list(BlockPrefetcher(wq, block_channels=16))
-        for start, stop, block in blocks:
-            np.testing.assert_array_equal(block, wq.dequantize_block(start, stop, axis=0))
+        # the next forward restarts the decode window and matches cached mode
+        np.testing.assert_array_equal(model(probe).data, cached)
+
+    def test_pipelined_decode_error_fails_the_group_not_the_worker(self):
+        rng = np.random.default_rng(1)
+        model = nn.Sequential(nn.Linear(16, 48, rng=rng), nn.ReLU(), nn.Linear(48, 8, rng=rng))
+        recipe = standard_recipe("E4M3", approach=Approach.DYNAMIC)
+        model = quantize_model(model.eval(), recipe).model
+        set_serving_mode(model, "streaming", block_channels=16, prefetch="pipeline")
+        sample = rng.normal(0, 1, 16).astype(np.float32)
+        with no_grad():
+            expected = model(Tensor(sample[None])).data[0]
+        with injected({"prefetch.decode": FaultSpec(kind="error", on_calls={2}, max_fires=1)}):
+            with ServingEngine(model, max_wait_ms=1, plan_cache=False) as engine:
+                with pytest.raises(PrefetchError) as info:
+                    engine.serve(sample, timeout=30)
+                assert isinstance(info.value.__cause__, InjectedError)
+                # an ordinary exception stays scoped to its group
+                np.testing.assert_array_equal(engine.serve(sample, timeout=30), expected)
+                assert engine.stats["worker_crashes"] == 0

@@ -3,18 +3,15 @@
 The engine's generation tier must reproduce ``model.generate`` token for
 token while decode steps of many requests share each forward — under
 mid-decode admission, preemption/restore, streaming delivery, and both
-KV-cache storages.  The deprecation shims keep every pre-existing
-``submit``/``serve``/``serve_batch`` call site working, warning once.
+KV-cache storages.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
-import repro.serving.api as serving_api
 from repro.models.transformer import GPTStyleLM
 from repro.serving import (
     DeadlineExceeded,
@@ -58,12 +55,6 @@ def slow_lm(seed=0, max_seq_len=64, step_delay_s=0.01):
     return model.eval()
 
 
-@pytest.fixture
-def fresh_warnings(monkeypatch):
-    """Reset the warn-once registry so each test observes its own warning."""
-    monkeypatch.setattr(serving_api, "_WARNED", set())
-
-
 class TestRequestDataclasses:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_new_tokens"):
@@ -77,56 +68,31 @@ class TestRequestDataclasses:
         with pytest.raises(ValueError, match="kv_cache"):
             GenerationRequest(kv_cache="").validated()
 
-    def test_options_plus_legacy_kwargs_is_an_error(self):
-        engine = ServingEngine(small_lm(), plan_cache=False)
+    @pytest.mark.parametrize("kwarg", ["priority", "deadline_ms"])
+    @pytest.mark.parametrize("method", ["submit", "serve", "serve_batch"])
+    def test_legacy_kwargs_are_rejected(self, method, kwarg):
+        # scheduling attributes travel in SubmitOptions only; a rejected call
+        # enqueues nothing and the engine keeps serving
+        model = nn.Sequential(nn.Linear(4, 4, rng=0)).eval()
+        engine = ServingEngine(model, plan_cache=False)
+        sample = np.zeros(4, dtype=np.float32)
+        payload = [sample] if method == "serve_batch" else sample
         try:
-            with pytest.raises(TypeError, match="not both"):
-                engine.submit(np.zeros((2,)), SubmitOptions(priority=1), priority=2)
+            with pytest.raises(TypeError, match=kwarg):
+                getattr(engine, method)(payload, **{kwarg: 50})
+            assert engine.stats["requests"] == 0
+            assert engine.serve(sample, SubmitOptions(priority=3), timeout=10).shape == (4,)
         finally:
             engine.close()
 
-
-class TestDeprecationShims:
-    def test_legacy_kwargs_warn_once_per_method(self, fresh_warnings):
+    def test_options_must_be_submit_options(self):
         model = nn.Sequential(nn.Linear(4, 4, rng=0)).eval()
         engine = ServingEngine(model, plan_cache=False)
+        sample = np.zeros(4, dtype=np.float32)
         try:
-            sample = np.zeros(4, dtype=np.float32)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                engine.serve(sample, priority=1)
-                engine.serve(sample, priority=2)
-            shim_warnings = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(shim_warnings) == 1
-            assert "SubmitOptions" in str(shim_warnings[0].message)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                engine.submit(sample, deadline_ms=5000).result(timeout=10)
-                engine.serve_batch([sample, sample], priority=1)
-            categories = [w.category for w in caught if w.category is DeprecationWarning]
-            assert len(categories) == 2  # one for submit, one for serve_batch
-        finally:
-            engine.close()
-
-    def test_typed_options_do_not_warn(self, fresh_warnings):
-        model = nn.Sequential(nn.Linear(4, 4, rng=0)).eval()
-        engine = ServingEngine(model, plan_cache=False)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                engine.serve(np.zeros(4, dtype=np.float32), SubmitOptions(priority=3))
-            assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        finally:
-            engine.close()
-
-    def test_zero_deadline_still_rejected_through_shim(self, fresh_warnings):
-        model = nn.Sequential(nn.Linear(4, 4, rng=0)).eval()
-        engine = ServingEngine(model, plan_cache=False)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                with pytest.raises(ValueError, match="deadline_ms"):
-                    engine.submit(np.zeros(4, dtype=np.float32), deadline_ms=0)
+            with pytest.raises(TypeError, match="SubmitOptions"):
+                engine.submit(sample, {"priority": 1})
+            assert engine.stats["requests"] == 0
         finally:
             engine.close()
 
@@ -233,21 +199,6 @@ class TestEngineGeneration:
             f_high.result(timeout=120)
             np.testing.assert_array_equal(f_low.result(timeout=120), ref_low)
 
-    def test_drain_admission_mode(self):
-        model = small_lm()
-        p1, p2 = np.array([1, 2, 3]), np.array([7, 8])
-        with ServingEngine(
-            model, plan_cache=False, decode_slots=8, generation_admission="drain"
-        ) as engine:
-            f1 = engine.generate(p1, GenerationRequest(max_new_tokens=8))
-            f2 = engine.generate(p2, GenerationRequest(max_new_tokens=8))
-            np.testing.assert_array_equal(
-                f1.result(timeout=60), model.generate(p1, max_new_tokens=8)
-            )
-            np.testing.assert_array_equal(
-                f2.result(timeout=60), model.generate(p2, max_new_tokens=8)
-            )
-
     def test_memory_budget_caps_slots(self):
         model = small_lm()
         probe = model.new_decode_state(1)
@@ -330,6 +281,18 @@ class TestTokenScheduler:
         assert admitted == [high] and not preempted and not expired
         assert scheduler.free_slots == 1
 
+    def test_admits_newcomers_while_others_run(self):
+        # continuous admission: a free slot admits a new session next tick,
+        # without waiting for the running set to empty
+        scheduler = TokenScheduler(8)
+        first = self.Item(2, 0, 0)
+        scheduler.add(first)
+        assert scheduler.plan(0.0)[0] == [first]
+        second = self.Item(2, 0, 1)
+        scheduler.add(second)
+        assert scheduler.plan(0.0) == ([second], [], [])
+        assert scheduler.running == [first, second]
+
     def test_preempts_only_strictly_less_urgent(self):
         scheduler = TokenScheduler(2)
         first = self.Item(2, 0, 0)
@@ -346,17 +309,6 @@ class TestTokenScheduler:
         # the evictee cannot bounce back while its evictor runs
         admitted, preempted, _ = scheduler.plan(0.0)
         assert not admitted and not preempted
-
-    def test_drain_mode_blocks_admission_until_empty(self):
-        scheduler = TokenScheduler(8, admission="drain")
-        first = self.Item(2, 0, 0)
-        scheduler.add(first)
-        assert scheduler.plan(0.0)[0] == [first]
-        second = self.Item(2, 0, 1)
-        scheduler.add(second)
-        assert scheduler.plan(0.0) == ([], [], [])
-        scheduler.on_finished(first)
-        assert scheduler.plan(0.0)[0] == [second]
 
     def test_expiry_and_oversized_sessions(self):
         scheduler = TokenScheduler(2)

@@ -1,67 +1,16 @@
-"""BlockPrefetcher: identical blocks, overlap plumbing, failure propagation."""
+"""PipelinePrefetcher: identical blocks, cross-layer window, pool lifecycle."""
 
 import numpy as np
 import pytest
 
 from repro.fp8 import E4M3
 from repro.fp8.quantize import QuantizedTensor
-from repro.serving import BlockPrefetcher
+from repro.serving import PrefetchError
 
 
 def _packed(shape=(70, 16), seed=0):
     x = np.random.default_rng(seed).normal(0, 1, shape).astype(np.float32)
     return QuantizedTensor.quantize(x, E4M3, axis=0)
-
-
-class TestBlockPrefetcher:
-    def test_blocks_bit_identical_to_sequential(self):
-        wq = _packed()
-        prefetched = list(BlockPrefetcher(wq, block_channels=32))
-        spans = [(s, e) for s, e in BlockPrefetcher(wq, block_channels=32).spans()]
-        assert spans == [(0, 32), (32, 64), (64, 70)]
-        assert [(s, e) for s, e, _ in prefetched] == spans
-        for start, stop, block in prefetched:
-            assert np.array_equal(block, wq.dequantize_block(start, stop, axis=0))
-
-    def test_reiterable(self):
-        prefetcher = BlockPrefetcher(_packed(), block_channels=16)
-        first = [b for *_, b in prefetcher]
-        second = [b for *_, b in prefetcher]
-        assert len(first) == len(second) == 5
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-
-    def test_single_block_tensor(self):
-        wq = _packed((8, 4))
-        blocks = list(BlockPrefetcher(wq, block_channels=512))
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0][2], wq.dequantize())
-
-    def test_depth_and_block_validation(self):
-        wq = _packed()
-        with pytest.raises(ValueError, match="block_channels"):
-            BlockPrefetcher(wq, block_channels=0)
-        with pytest.raises(ValueError, match="depth"):
-            BlockPrefetcher(wq, block_channels=8, depth=0)
-
-    def test_decode_error_propagates_to_consumer(self):
-        wq = _packed()
-
-        class _Boom(QuantizedTensor):
-            def dequantize_block(self, start, stop, axis=0):
-                if start >= 32:
-                    raise RuntimeError("decode exploded")
-                return super().dequantize_block(start, stop, axis=axis)
-
-        broken = _Boom(codes=wq.codes, scale=wq.scale, fmt=wq.fmt)
-        with pytest.raises(RuntimeError, match="decode exploded"):
-            list(BlockPrefetcher(broken, block_channels=32))
-
-    def test_early_abandonment_stops_worker(self):
-        wq = _packed((512, 8))
-        iterator = iter(BlockPrefetcher(wq, block_channels=8))
-        next(iterator)
-        iterator.close()  # must not hang or leak a blocked thread
 
 
 class _FakeLayer:
@@ -185,6 +134,113 @@ class TestPipelinePrefetcher:
         # stale thread-local run (cancelled futures) must not leak into it
         assert len(list(pipeline.iter_blocks(layers[0]))) == 3
         pipeline.close()
+
+    def test_ragged_tail_block(self):
+        # 70 rows in 32-row blocks: the last block is a 6-row tail, cut at
+        # the same boundary as the sequential path
+        from repro.serving import PipelinePrefetcher
+
+        layers = [_FakeLayer(_packed((70, 16), seed=seed), 32) for seed in range(2)]
+        pipeline = PipelinePrefetcher(layers, depth=2, workers=2)
+        try:
+            for layer in layers:
+                blocks = list(pipeline.iter_blocks(layer))
+                assert [(s, e) for s, e, _ in blocks] == [(0, 32), (32, 64), (64, 70)]
+                for start, stop, block in blocks:
+                    assert np.array_equal(
+                        block, layer.weight_q.dequantize_block(start, stop, axis=0)
+                    )
+        finally:
+            pipeline.close()
+
+    def test_single_block_layers_share_one_window(self):
+        # layers narrower than a block decode whole; a window deeper than a
+        # layer holds several layers' weights at once
+        from repro.serving import PipelinePrefetcher
+
+        layers = [_FakeLayer(_packed((8, 4), seed=seed), 512) for seed in range(3)]
+        pipeline = PipelinePrefetcher(layers, depth=3, workers=1)
+        try:
+            iterator = pipeline.iter_blocks(layers[0])
+            first = next(iterator)
+            assert [entry[0] for entry in pipeline._local.run._pending] == layers[1:]
+            assert list(iterator) == []
+            assert (first[0], first[1]) == (0, 8)
+            assert np.array_equal(first[2], layers[0].weight_q.dequantize())
+            for layer in layers[1:]:
+                (block,) = list(pipeline.iter_blocks(layer))
+                assert (block[0], block[1]) == (0, 8)
+                assert np.array_equal(block[2], layer.weight_q.dequantize())
+        finally:
+            pipeline.close()
+
+    def test_window_never_exceeds_depth(self):
+        from repro.serving import PipelinePrefetcher
+
+        layers = _layers(count=3)  # 9 blocks in all
+        pipeline = PipelinePrefetcher(layers, depth=4, workers=1)
+        try:
+            remaining = 9
+            for layer in layers:
+                for _ in pipeline.iter_blocks(layer):
+                    remaining -= 1
+                    assert len(pipeline._local.run._pending) == min(4, remaining)
+            assert remaining == 0
+        finally:
+            pipeline.close()
+
+    def test_decode_error_propagates_to_consumer(self):
+        # blocks decoded before the failure still arrive; the failing block
+        # raises PrefetchError in the consumer, chained from the pool
+        # thread's exception
+        from repro.serving import PipelinePrefetcher
+
+        wq = _packed((48, 8))
+
+        class _Boom(QuantizedTensor):
+            def dequantize_block(self, start, stop, axis=0):
+                if start >= 16:
+                    raise RuntimeError("decode exploded")
+                return super().dequantize_block(start, stop, axis=axis)
+
+        layer = _FakeLayer(_Boom(codes=wq.codes, scale=wq.scale, fmt=wq.fmt), 16)
+        pipeline = PipelinePrefetcher([layer], depth=2, workers=2)
+        try:
+            iterator = pipeline.iter_blocks(layer)
+            start, stop, block = next(iterator)
+            assert (start, stop) == (0, 16)
+            assert np.array_equal(block, wq.dequantize_block(0, 16, axis=0))
+            with pytest.raises(PrefetchError, match="decode exploded") as info:
+                next(iterator)
+            assert isinstance(info.value.__cause__, RuntimeError)
+        finally:
+            pipeline.close()
+
+    def test_pass_after_a_decode_error_restarts_clean(self):
+        # the failed pass leaves a stale window behind; the next pass must
+        # discard it and decode every block afresh
+        from repro.serving import PipelinePrefetcher
+
+        wq = _packed((48, 8))
+        failures = [RuntimeError("transient decode failure")]
+
+        class _FailsOnce(QuantizedTensor):
+            def dequantize_block(self, start, stop, axis=0):
+                if start == 16 and failures:
+                    raise failures.pop()
+                return super().dequantize_block(start, stop, axis=axis)
+
+        layer = _FakeLayer(_FailsOnce(codes=wq.codes, scale=wq.scale, fmt=wq.fmt), 16)
+        pipeline = PipelinePrefetcher([layer], depth=3, workers=2)
+        try:
+            with pytest.raises(PrefetchError):
+                list(pipeline.iter_blocks(layer))
+            blocks = list(pipeline.iter_blocks(layer))
+            assert [(s, e) for s, e, _ in blocks] == [(0, 16), (16, 32), (32, 48)]
+            for start, stop, block in blocks:
+                assert np.array_equal(block, wq.dequantize_block(start, stop, axis=0))
+        finally:
+            pipeline.close()
 
     def test_validation(self):
         from repro.serving import PipelinePrefetcher

@@ -23,7 +23,7 @@ import pytest
 
 import repro.nn as nn
 from repro.autograd.tensor import Tensor, no_grad
-from repro.quantization import Approach, quantize_model, standard_recipe
+from repro.quantization import Approach, QuantizedLinear, quantize_model, standard_recipe
 from repro.serialization import save_quantized
 from repro.serving import (
     EngineFailed,
@@ -159,6 +159,54 @@ class TestProcessServing:
                 reference2 = engine.model(Tensor(np.stack(samples[8:]))).data
         np.testing.assert_array_equal(np.stack(outputs[:8]), reference)
         np.testing.assert_array_equal(np.stack(outputs[8:]), reference2)
+
+    def test_token_id_model_served_bit_identical_to_direct_call(self):
+        from repro.models.transformer import BertStyleClassifier
+
+        model = BertStyleClassifier(
+            vocab_size=32, max_seq_len=16, embed_dim=16, num_layers=1, rng=4
+        ).eval()
+        rng = np.random.default_rng(6)
+        tokens = [rng.integers(0, 32, 12).astype(np.int64) for _ in range(4)]
+        with no_grad():
+            expected = model(np.stack(tokens)).data
+        engine = ServingEngine(
+            model,
+            worker_mode="process",
+            max_batch_size=len(tokens),
+            max_wait_ms=2000.0,
+            supervision_interval_ms=10.0,
+        )
+        try:
+            _wait_ready(engine)
+            outputs = engine.serve_batch(tokens, timeout=60)
+        finally:
+            engine.close(timeout=10)
+        np.testing.assert_array_equal(np.stack(outputs), expected)
+
+    def test_from_checkpoint_default_streams_pipelined_in_the_child(self, checkpoint):
+        # no serving_mode/prefetch arguments: the child rebuilds its replica
+        # with the streaming + prefetch="pipeline" defaults the template shows
+        samples = _samples(8, seed=5)
+        engine = ServingEngine.from_checkpoint(
+            checkpoint,
+            build_mlp,
+            block_channels=4,
+            worker_mode="process",
+            max_batch_size=len(samples),
+            max_wait_ms=2000.0,
+            supervision_interval_ms=10.0,
+        )
+        try:
+            _wait_ready(engine)
+            outputs = engine.serve_batch(samples, timeout=60)
+            wrappers = [m for m in engine.model.modules() if isinstance(m, QuantizedLinear)]
+            assert wrappers and all(w._pipeline is not None for w in wrappers)
+            with no_grad():
+                expected = engine.model(Tensor(np.stack(samples))).data
+        finally:
+            engine.close(timeout=10)
+        np.testing.assert_array_equal(np.stack(outputs), expected)
 
     def test_each_worker_process_maps_checkpoint_once(self, checkpoint):
         with _process_engine(checkpoint, workers=2) as engine:
