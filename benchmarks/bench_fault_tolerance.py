@@ -41,7 +41,6 @@ import time
 import numpy as np
 
 import repro.nn as nn
-from bench_report import record
 from repro.autograd.tensor import Tensor
 from repro.evaluation.reporting import format_table
 from repro.serialization import ChecksumError, verify_container, write_container
@@ -232,16 +231,11 @@ def main():
             title="Fail-fast / overload / scrub",
         )
     )
-    record(
-        "fault_tolerance",
-        {"recovery": recovery, "fail_fast": fail_fast, "overload": overload, "scrub": scrub},
-    )
     return recovery, fail_fast, overload, scrub
 
 
 def test_crash_recovery_gates():
     _, stats = measure_crash_recovery()
-    record("fault_tolerance_recovery", stats)
     assert stats["hung_futures"] == 0, "a future was left unresolved after the crash"
     assert stats["failed_requests"] == 0, "retry should absorb the single injected crash"
     assert stats["bit_identical"], "recovered outputs diverge from the uncrashed run"
@@ -254,7 +248,6 @@ def test_crash_recovery_gates():
 
 def test_fail_fast_gate():
     stats = measure_fail_fast()
-    record("fault_tolerance_fail_fast", stats)
     assert stats["typed"], "crash without retry budget must fail with WorkerCrashed"
     assert stats["fail_fast_s"] <= ACCEPTANCE_FAIL_FAST_S, (
         f"typed failure took {stats['fail_fast_s']:.3f}s to reach the caller "
@@ -264,7 +257,6 @@ def test_fail_fast_gate():
 
 def test_overload_gates():
     stats = measure_overload()
-    record("fault_tolerance_overload", stats)
     assert stats["rejected"], "submit above the queue-depth cap must raise QueueFull"
     assert stats["reject_latency_s"] <= ACCEPTANCE_REJECT_S, (
         f"QueueFull took {stats['reject_latency_s']:.4f}s (gate: <= {ACCEPTANCE_REJECT_S}s)"
@@ -274,7 +266,6 @@ def test_overload_gates():
 
 def test_scrub_gates():
     stats = measure_scrub()
-    record("fault_tolerance_scrub", stats)
     assert stats["flipped_byte_detected"], "a flipped payload byte escaped the scrubber"
     assert stats["scrub_mbps"] >= ACCEPTANCE_SCRUB_MBPS, (
         f"verify_container streamed at {stats['scrub_mbps']:.0f} MB/s "

@@ -38,7 +38,6 @@ import time
 
 import numpy as np
 
-from bench_report import record
 from repro.evaluation.reporting import format_table
 from repro.models.transformer import GPTStyleLM
 from repro.serving import GenerationRequest, ServingEngine
@@ -255,13 +254,11 @@ def main():
     serve_rows, serve_stats = measure_continuous_vs_drain()
     print()
     print(format_table(serve_rows, title="Token-level continuous batching"))
-    record("generation", {"kv_decode": decode_stats, "continuous": serve_stats})
     return decode_stats, serve_stats
 
 
 def test_kv_decode_gate():
     _, stats = measure_kv_decode()
-    record("generation", {"kv_decode": stats})
     assert stats["token_identical"], "KV-cache greedy decode diverged from full recompute"
     assert stats["speedup"] >= ACCEPTANCE_KV_DECODE, (
         f"KV-cache decode only {stats['speedup']:.2f}x over full recompute at "
@@ -271,7 +268,6 @@ def test_kv_decode_gate():
 
 def test_continuous_generation_gate():
     _, stats = measure_continuous_vs_drain()
-    record("generation", {"continuous": stats})
     assert stats["engine_matches_model"], (
         "engine generation diverged from the model.generate reference"
     )

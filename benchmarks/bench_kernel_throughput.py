@@ -23,7 +23,6 @@ import time
 
 import numpy as np
 
-from bench_report import record
 from repro.evaluation.reporting import format_table
 from repro.fp8 import E4M3, get_format
 from repro.fp8.kernels import use_kernel
@@ -100,7 +99,6 @@ def main():
             title=f"FP8 cast kernel throughput ({N:,} elements, best of 5)",
         )
     )
-    record("kernel_throughput", {"elements": N, "round_speedups": round_speedups})
     return round_speedups
 
 

@@ -28,7 +28,6 @@ import time
 import numpy as np
 
 import repro.nn as nn
-from bench_report import record
 from repro.evaluation.reporting import format_table
 from repro.fp8 import E4M3, get_format
 from repro.fp8.quantize import compute_scale, fp8_round, quantize_dequantize
@@ -82,7 +81,6 @@ def measure_footprint():
                 "Ratio": f"{ratio:.3f}x",
             }
         )
-    record("memory_footprint", {"packed_vs_fp32_ratio": ratios})
     return rows, ratios
 
 

@@ -35,7 +35,6 @@ import time
 
 import numpy as np
 
-from bench_report import record
 from repro import nn
 from repro.evaluation.reporting import format_table
 from repro.fp8 import native
@@ -130,7 +129,6 @@ def test_native_streaming_speedup():
 
         pytest.skip("no C compiler available")
     stats = run_streaming_speedup()
-    record("native_kernels", {"streaming": stats})
     print(
         f"\nnative {stats['native_us_per_forward']:.0f} us/forward vs fast "
         f"{stats['fast_us_per_forward']:.0f} us/forward -> {stats['speedup']:.2f}x"
@@ -159,7 +157,6 @@ def main():
     ]
     print(format_table(rows))
     print(f"bit-identical (native vs fast): {s['bit_identical']}")
-    record("native_kernels", stats)
     gate = "PASS" if s["speedup"] >= ACCEPTANCE_SPEEDUP else "FAIL"
     print(f"acceptance (>= {ACCEPTANCE_SPEEDUP}x): {gate}")
 

@@ -33,7 +33,6 @@ import time
 
 import numpy as np
 
-from bench_report import record
 from repro import nn
 from repro.autograd.tensor import Tensor, no_grad
 from repro.evaluation.reporting import format_table
@@ -163,7 +162,6 @@ def run() -> dict:
 
 def test_plan_cache_dispatch_speedup():
     stats = run_dispatch_speedup()
-    record("plan_cache", {"dispatch": stats})
     print(
         f"\nplan replay {stats['plan_us_per_forward']:.1f} us/forward vs eager "
         f"{stats['eager_us_per_forward']:.1f} us/forward -> {stats['speedup']:.2f}x"
@@ -176,7 +174,6 @@ def test_plan_cache_dispatch_speedup():
 
 def test_plan_cache_quantized_bit_identity():
     results = run_quantized_bit_identity()
-    record("plan_cache", {"quantized_bit_identical": results})
     assert all(results.values())
 
 
@@ -194,7 +191,6 @@ def main():
     print(format_table(rows))
     for config, ok in stats["quantized_bit_identical"].items():
         print(f"E4M3-dynamic {config}: plan replay bit-identical = {ok}")
-    record("plan_cache", stats)
     gate = "PASS" if dispatch["speedup"] >= ACCEPTANCE_SPEEDUP else "FAIL"
     print(f"acceptance (>= {ACCEPTANCE_SPEEDUP}x): {gate}")
 

@@ -36,7 +36,6 @@ import numpy as np
 
 import repro.nn as nn
 import repro.nn.init as init
-from bench_report import record
 from repro.autograd.tensor import Tensor, no_grad
 from repro.evaluation.reporting import format_table
 from repro.quantization import (
@@ -326,16 +325,11 @@ def main():
     prefetch_rows, prefetch_stats = measure_prefetch_identity()
     print()
     print(format_table(prefetch_rows, title="Pipelined block prefetch"))
-    record(
-        "serving_engine",
-        {"cold_load": cold_stats, "throughput": serve_stats, "prefetch": prefetch_stats},
-    )
     return cold_stats, serve_stats, prefetch_stats
 
 
 def test_mmap_cold_load_gates():
     _, stats = measure_cold_load()
-    record("serving_engine_cold_load", stats)
     assert stats["file_bytes"] >= MIN_CHECKPOINT_BYTES, (
         f"checkpoint is only {stats['file_bytes']} bytes; the cold-load gate "
         f"needs >= {MIN_CHECKPOINT_BYTES}"
@@ -354,7 +348,6 @@ def test_mmap_cold_load_gates():
 
 def test_batched_throughput_gate():
     _, stats = measure_batched_throughput()
-    record("serving_engine_throughput", stats)
     assert stats["outputs_match_direct_batch"], (
         "engine outputs diverge from a direct batched forward"
     )
@@ -366,7 +359,6 @@ def test_batched_throughput_gate():
 
 def test_prefetch_bit_identity():
     _, stats = measure_prefetch_identity()
-    record("serving_engine_prefetch", stats)
     assert stats["prefetch_matches_plain_streaming"], (
         "pipelined streaming diverges from sequential streaming"
     )

@@ -44,7 +44,6 @@ import time
 import numpy as np
 
 import repro.nn as nn
-from bench_report import record
 from repro.autograd.tensor import Tensor, no_grad
 from repro.evaluation.reporting import format_table
 from repro.quantization import (
@@ -223,14 +222,11 @@ def main():
     ckpt_rows, ckpt_stats = measure_checkpoint_roundtrip()
     print()
     print(format_table(ckpt_rows, title="Packed checkpoint round trip"))
-    record("serving_path", serving_stats)
-    record("checkpoint_roundtrip", ckpt_stats)
     return serving_stats, ckpt_stats
 
 
 def test_streaming_resident_footprint():
     _, stats = measure_serving("E4M3")
-    record("serving_path", {"E4M3": stats})
     ratio = stats["streaming_resident_ratio"]
     assert ratio <= ACCEPTANCE_RESIDENT_RATIO, (
         f"deployed streaming resident bytes {ratio:.3f}x above the "
@@ -250,7 +246,6 @@ def test_streaming_matches_cached():
 
 def test_checkpoint_roundtrip_bit_identical():
     _, stats = measure_checkpoint_roundtrip()
-    record("checkpoint_roundtrip", stats)
     assert stats["codes_scales_bit_identical"], "packed codes/scales changed across save/load"
     assert stats["forward_bit_identical"], "loaded model's forward outputs diverge"
     assert stats["loaded_resident_ratio"] <= ACCEPTANCE_RESIDENT_RATIO

@@ -72,7 +72,7 @@ def frechet_distance(
     mu2, sigma2 = stats_b.mean, stats_b.cov
     diff = mu1 - mu2
     offset = np.eye(sigma1.shape[0]) * eps
-    covmean, _ = linalg.sqrtm((sigma1 + offset) @ (sigma2 + offset), disp=False)
+    covmean = linalg.sqrtm((sigma1 + offset) @ (sigma2 + offset))
     if np.iscomplexobj(covmean):
         covmean = covmean.real
     return float(diff @ diff + np.trace(sigma1 + sigma2 - 2.0 * covmean))

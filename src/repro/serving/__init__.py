@@ -3,11 +3,13 @@
 The throughput side of deployment, on top of the packed storage and
 streaming serving modes:
 
-* :class:`~repro.serving.engine.ServingEngine` — N worker threads over a
+* :class:`~repro.serving.engine.ServingEngine` — N workers over a
   continuous-batching scheduler: compatible single-sample requests fuse into
   one forward call (stack, or pad along axis 0), newly-arrived requests join
   the next forward of an in-flight compatibility group instead of waiting
-  for a drain, and per-request priorities/deadlines order admission;
+  for a drain, and per-request priorities/deadlines order admission.
+  Thread and process workers share one protocol
+  (:mod:`repro.serving.worker_proc`) and one dispatcher/supervisor path;
 * :class:`~repro.serving.api.SubmitOptions` /
   :class:`~repro.serving.api.GenerationRequest` — the typed request surface:
   ``engine.submit(x, SubmitOptions(...))`` for one-shot forwards,
@@ -16,6 +18,9 @@ streaming serving modes:
 * :class:`~repro.serving.scheduler.ContinuousScheduler` — the engine-agnostic
   per-compatibility-bucket admission core (deadline-aware windows,
   :class:`~repro.serving.scheduler.DeadlineExceeded` on queue-time misses);
+  its queue cap and shedding are one
+  :class:`~repro.serving.scheduler.Admission` rule, shared with the
+  generation tier;
 * :class:`~repro.serving.scheduler.TokenScheduler` +
   :mod:`repro.serving.generation` — the token-level generation tier: one
   decode-state pool multiplexes per-request KV caches (float32 or FP8

@@ -37,15 +37,18 @@ streaming kernels (blocked Linear matmul, Embedding gather-decode — they only
 read ``weight_q``) but not for wrappers that rebind transient weight caches
 in their forward.  Forwards run under the thread-local ``no_grad``.
 
-``worker_mode="process"`` swaps the execution tier under the same scheduler:
-each worker slot becomes a worker *process* (building its own replica — for
-checkpoints, by re-running ``load_quantized(path, ..., mmap=True)`` in its
-own address space, which the OS page cache makes nearly free) plus a parent
-dispatcher thread that ships each batch over a pickle pipe
+``worker_mode="process"`` swaps what each slot's thread drives, not the
+path: every slot is one engine thread plus a worker behind one protocol
+(:mod:`repro.serving.worker_proc`).  A thread worker calls the model in
+that thread; a process worker is a child *process* that
+builds its own replica — for checkpoints, by re-running
+``load_quantized(path, ..., mmap=True)`` in its own address space, which the
+OS page cache makes nearly free — and serves each batch over a pickle pipe
 (:mod:`repro.serving.ipc`).  That escapes the GIL for CPU-bound forwards and
 extends crash isolation to failures no ``except`` clause ever sees — a
-native-kernel segfault, an OOM kill, ``SIGKILL`` — while keeping results
-bit-identical and every supervision/retry/overload contract unchanged.
+native-kernel segfault, an OOM kill, ``SIGKILL`` — while the dispatcher
+loop, supervisor, retry and overload paths stay the same code, and results
+stay bit-identical.
 
 Compatibility and padding
 -------------------------
@@ -62,7 +65,8 @@ Two samples can share a forward call when stacking them is meaningful:
 
 Cancelling a submitted future is safe: a request cancelled while queued is
 skipped when its group is served (workers mark futures RUNNING before the
-forward, after which cancellation is no longer possible).
+forward, after which cancellation is no longer possible), and a cancelled
+generation gives up its decode rows at the next tick.
 
 Observability: :attr:`ServingEngine.stats` reports counters plus queue-wait
 and forward-time percentiles (p50/p95) and per-group occupancy, so admission
@@ -70,9 +74,10 @@ behaviour is visible, not inferred.
 
 Fault tolerance
 ---------------
-Worker threads are *supervised*: a supervisor thread watches every worker
-slot and, when a worker dies mid-forward (or exceeds the hung-forward
-timeout), recovers its in-flight group — requests with retry budget
+Workers are *supervised*: a supervisor thread watches every worker slot and,
+when a worker dies mid-forward, exceeds the hung-forward timeout, or (a
+process) exits while idle, retires the slot through one path and recovers
+its in-flight group — requests with retry budget
 (``SubmitOptions(max_retries=...)``) are requeued with exponential backoff
 and re-run bit-identically on a restarted worker sharing the same replica;
 requests without budget fail fast with a typed
@@ -80,8 +85,9 @@ requests without budget fail fast with a typed
 ``__cause__``.  Ordinary forward exceptions stay scoped to the failing
 group: its futures reject with the original exception (or retry, with
 budget), other compatibility buckets keep being served.  Overload control is
-delegated to the scheduler: ``max_queue_depth`` bounds the queue
-(:class:`~repro.serving.errors.QueueFull` fast-fail at admission, or
+one :class:`~repro.serving.scheduler.Admission` rule that the one-shot and
+the generation schedulers share: ``max_queue_depth`` bounds each waiting
+queue (:class:`~repro.serving.errors.QueueFull` fast-fail at admission, or
 lowest-priority-first shedding with ``shed_policy="priority"``), and
 :meth:`ServingEngine.drain` flips the engine into a drain-then-reject state
 ahead of shutdown.  Every recovery path here is exercised deterministically
@@ -101,18 +107,17 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import signal
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
-from repro.serving import faults, ipc
+from repro.serving import faults
 from repro.serving.api import GenerationRequest, SubmitOptions, validate_worker_mode
 from repro.serving.errors import (
     EngineClosed,
@@ -122,8 +127,8 @@ from repro.serving.errors import (
     WorkerCrashed,
 )
 from repro.serving.generation import GenerationDriver, GenerationStream
-from repro.serving.scheduler import ContinuousScheduler, Request, compat_key
-from repro.serving.worker_proc import WorkerSpec, forward_batch, worker_main
+from repro.serving.scheduler import Admission, ContinuousScheduler, Request, compat_key
+from repro.serving.worker_proc import ProcessWorker, ThreadWorker, WorkerSpec
 
 __all__ = ["ServingEngine"]
 
@@ -138,122 +143,28 @@ def _percentiles_ms(values: Sequence[float]) -> tuple:
     return float(p50) * 1e3, float(p95) * 1e3
 
 
-def _describe_exit(exitcode: Optional[int]) -> str:
-    if exitcode is None:
-        return "exit code unknown"
-    if exitcode < 0:
-        try:
-            name = signal.Signals(-exitcode).name
-        except ValueError:
-            name = f"signal {-exitcode}"
-        return f"killed by {name}"
-    return f"exit code {exitcode}"
-
-
 class _WorkerSlot:
-    """One worker thread plus the state its supervisor reads.
+    """One worker, the engine thread that drives it, and the state its supervisor reads.
 
     ``inflight`` holds the compatibility group the worker is forwarding right
     now — on a crash it stays populated, and the supervisor owns recovering
-    those requests.  ``finished`` marks a clean exit (scheduler drained after
-    close); ``abandoned`` marks a hung worker the supervisor has written off:
-    its thread may still be running, but it must stop pulling groups, and any
-    late result it produces loses the future-resolution race harmlessly.
+    those requests.  ``retired`` marks a slot that is done: its loop drained
+    cleanly, or the supervisor retired it.  A retired slot's thread may still
+    be running (a hung forward cannot be interrupted), but it stops pulling
+    groups, and any late result it produces loses the future-resolution race
+    harmlessly.
     """
 
-    kind = "thread"
+    __slots__ = ("index", "worker", "thread", "inflight", "forward_started", "crash_exc", "retired")
 
-    __slots__ = (
-        "index",
-        "replica",
-        "thread",
-        "inflight",
-        "forward_started",
-        "crash_exc",
-        "finished",
-        "abandoned",
-    )
-
-    def __init__(self, index: int, replica: Optional[Module]) -> None:
+    def __init__(self, index: int, worker) -> None:
         self.index = index
-        self.replica = replica
+        self.worker = worker
         self.thread: Optional[threading.Thread] = None
         self.inflight: Tuple[Request, ...] = ()
         self.forward_started: Optional[float] = None
         self.crash_exc: Optional[BaseException] = None
-        self.finished = False
-        self.abandoned = False
-
-
-class _ProcessSlot(_WorkerSlot):
-    """A worker *process* plus the parent dispatcher thread that drives it.
-
-    ``thread`` (inherited) is the dispatcher: it pulls groups from the
-    scheduler exactly like a thread worker, but ships each batch over the
-    IPC channel instead of calling the model — the model lives only in the
-    child (``replica`` stays ``None``).  A dead pipe raises
-    :class:`~repro.serving.ipc.WorkerProcessDied` (a ``BaseException``),
-    killing the dispatcher so the supervisor's existing crash recovery runs
-    for a process death exactly as it does for a thread death.
-    """
-
-    kind = "process"
-
-    __slots__ = ("proc", "channel", "ready", "ready_info", "init_failed", "seq", "last_exitcode")
-
-    def __init__(self, index: int) -> None:
-        super().__init__(index, None)
-        self.proc = None
-        self.channel: Optional[ipc.Channel] = None
-        self.ready = False
-        self.ready_info: dict = {}
-        self.init_failed = False
-        self.seq = 0
-        self.last_exitcode: Optional[int] = None
-
-    def kill(self) -> None:
-        """SIGKILL the child — the hard-death handle the ``kill`` fault calls."""
-        proc = self.proc
-        if proc is not None and proc.pid is not None:
-            try:
-                os.kill(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-
-    def reap(self, timeout: float = 5.0) -> Optional[int]:
-        """Ensure the child is dead *and* waited on (never a zombie); return its exit code.
-
-        Escalates join → terminate → kill, then releases the process object.
-        Idempotent: after the first reap the slot holds only the exit code.
-        """
-        proc = self.proc
-        if proc is None:
-            return self.last_exitcode
-        if self.channel is not None:
-            self.channel.close()
-        proc.join(timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(1.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(5.0)
-        self.last_exitcode = proc.exitcode
-        self.proc = None
-        try:
-            proc.close()
-        except Exception:
-            pass
-        return self.last_exitcode
-
-    def shutdown_child(self, timeout: float = 5.0) -> None:
-        """Graceful drain-side shutdown: ask nicely, then reap regardless."""
-        try:
-            if self.channel is not None:
-                self.channel.send("shutdown")
-        except ipc.WorkerProcessDied:
-            pass
-        self.reap(timeout)
+        self.retired = False
 
 
 class ServingEngine:
@@ -492,24 +403,22 @@ class ServingEngine:
         self._queue_wait_s: deque = deque(maxlen=_STATS_WINDOW)
         self._forward_s: deque = deque(maxlen=_STATS_WINDOW)
         self._group_sizes: deque = deque(maxlen=_STATS_WINDOW)
+        #: one queue cap and shed policy for one-shot and generation traffic
+        self._admission = Admission(self.max_queue_depth, self.shed_policy, on_shed=self._note_shed)
         self._scheduler = ContinuousScheduler(
             self.max_batch_size,
             self.max_wait_s,
             on_expired=self._note_expired,
-            max_queue_depth=self.max_queue_depth,
-            shed_policy=self.shed_policy,
-            on_shed=self._note_shed,
+            admission=self._admission,
         )
         #: (due time, tiebreak, request) — requests backing off before a retry
         self._retry_heap: List[Tuple[float, int, Request]] = []
         self._retry_seq = itertools.count()
-        self._worker_spec: Optional[WorkerSpec] = None
+        self._worker_spec = worker_spec
         self._mp_ctx = None
         if worker_mode == "process":
             self._mp_ctx = multiprocessing.get_context(worker_start_method)
-            if worker_spec is not None:
-                self._worker_spec = worker_spec
-            else:
+            if worker_spec is None:
                 # fail fast in the constructor, not in N children: the
                 # template must cross the process boundary
                 try:
@@ -521,14 +430,8 @@ class ServingEngine:
                         "which ships the checkpoint path instead of the model"
                     ) from exc
                 self._worker_spec = WorkerSpec(model_pickle=blob, plan_cache=plan_cache)
-            self._slots: List[_WorkerSlot] = [
-                self._start_process_slot(index) for index in range(workers)
-            ]
-        else:
-            self._slots = [
-                self._start_slot(index, replica) for index, replica in enumerate(replicas)
-            ]
         self._stop_supervisor = threading.Event()
+        self._slots: List[_WorkerSlot] = [self._start_slot(index) for index in range(workers)]
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-serving-supervisor", daemon=True
         )
@@ -659,33 +562,17 @@ class ServingEngine:
         # failsafe: whatever could not drain — queued requests, retries still
         # backing off, groups in-flight on dead or hung workers — must not
         # leave a caller blocked on a future that can no longer resolve
-        leftovers = self._scheduler.drain_pending()
-        with self._lock:
-            while self._retry_heap:
-                leftovers.append(heapq.heappop(self._retry_heap)[2])
-        for slot in list(self._slots):
-            leftovers.extend(slot.inflight)
-            slot.inflight = ()
-        failed = 0
-        for request in leftovers:
-            failed += request.fail(
-                WorkerCrashed(
-                    "engine closed before this request was served "
-                    "(drain timed out or its worker died)"
-                )
-            )
-        if failed:
-            with self._lock:
-                self._stats["failed_requests"] += failed
+        self._fail_leftovers(
+            WorkerCrashed,
+            "engine closed before this request was served (drain timed out or its worker died)",
+            slots=list(self._slots),
+        )
         # zero-zombie guarantee: every worker process is dead *and* waited on
-        # before close() returns (the drained dispatchers already shut their
-        # children down; this catches drain timeouts and crashed dispatchers)
+        # before close() returns (drained slots already shut their children
+        # down; this catches drain timeouts and crashed slot threads)
         for slot in list(self._slots):
-            if isinstance(slot, _ProcessSlot):
-                remaining = (
-                    5.0 if deadline is None else max(0.5, deadline - time.monotonic())
-                )
-                slot.reap(timeout=remaining)
+            remaining = 5.0 if deadline is None else max(0.5, deadline - time.monotonic())
+            slot.worker.reap(timeout=remaining)
 
     @property
     def state(self) -> str:
@@ -697,19 +584,13 @@ class ServingEngine:
     def alive_workers(self) -> int:
         """How many workers are currently serving (for liveness checks).
 
-        A process worker counts only while *both* halves live: its parent
-        dispatcher thread and the worker process itself.
+        A slot counts only while *both* halves live: its engine thread and
+        its worker (for a process worker, the child process).
         """
-        alive = 0
-        for slot in self._slots:
-            if slot.abandoned or slot.thread is None or not slot.thread.is_alive():
-                continue
-            if isinstance(slot, _ProcessSlot):
-                proc = slot.proc
-                if proc is None or not proc.is_alive():
-                    continue
-            alive += 1
-        return alive
+        return sum(
+            not slot.retired and slot.thread.is_alive() and slot.worker.alive()
+            for slot in list(self._slots)
+        )
 
     def __enter__(self) -> "ServingEngine":
         return self
@@ -762,25 +643,14 @@ class ServingEngine:
             retry_backoff_s=float(options.retry_backoff_ms) / 1000.0,
         )
         with self._lock:
-            if self._state == "closed":
-                raise EngineClosed("cannot submit to a closed ServingEngine")
-            if self._state == "failed":
-                raise self._failed_error_locked()
-            if self._state == "draining":
-                raise EngineDraining(
-                    "engine is draining toward shutdown; new requests are rejected"
-                )
+            self._check_admitting_locked()
         # admit outside the engine lock: shedding resolves a victim's future,
         # which may run client callbacks that read engine stats (same lock)
         try:
-            self._scheduler.add(request)
+            self._admit(self._scheduler.add, request)
         except EngineClosed:
             # close() won the race between our state check and admission
             raise EngineClosed("cannot submit to a closed ServingEngine") from None
-        except QueueFull:
-            with self._lock:
-                self._stats["rejected_requests"] += 1
-            raise
         with self._lock:
             self._stats["requests"] += 1
         return future
@@ -860,14 +730,7 @@ class ServingEngine:
                 f"max_seq_len={max_seq_len}"
             )
         with self._lock:
-            if self._state == "closed":
-                raise EngineClosed("cannot submit to a closed ServingEngine")
-            if self._state == "failed":
-                raise self._failed_error_locked()
-            if self._state == "draining":
-                raise EngineDraining(
-                    "engine is draining toward shutdown; new requests are rejected"
-                )
+            self._check_admitting_locked()
             driver = self._generation_driver
             if driver is None or driver.crashed:
                 # a crashed tick thread failed every open session; later
@@ -876,15 +739,10 @@ class ServingEngine:
                     self.model,
                     slots=self.decode_slots,
                     memory_budget=self.decode_memory_budget,
-                    max_waiting=self.max_queue_depth,
+                    admission=self._admission,
                 )
                 self._generation_driver = driver
-        try:
-            session = driver.submit(prompt, request)
-        except QueueFull:
-            with self._lock:
-                self._stats["rejected_requests"] += 1
-            raise
+        session = self._admit(driver.submit, prompt, request)
         return session.stream if request.stream else session.future
 
     @property
@@ -910,22 +768,7 @@ class ServingEngine:
         snapshot["worker_mode"] = self.worker_mode
         snapshot["pending"] = self._scheduler.pending()
         if self.worker_mode == "process":
-            details = []
-            for slot in list(self._slots):
-                if not isinstance(slot, _ProcessSlot):
-                    continue
-                proc = slot.proc
-                details.append(
-                    {
-                        "index": slot.index,
-                        "pid": slot.ready_info.get("pid", proc.pid if proc else None),
-                        "alive": bool(proc is not None and proc.is_alive()),
-                        "ready": slot.ready,
-                        "exitcode": slot.last_exitcode,
-                        "mapped_files": slot.ready_info.get("mapped_files"),
-                    }
-                )
-            snapshot["process_workers"] = details
+            snapshot["process_workers"] = [slot.worker.info() for slot in list(self._slots)]
         occupancy = float(np.mean(sizes)) / self.max_batch_size if sizes else 0.0
         snapshot["occupancy_mean"] = occupancy
         snapshot["queue_wait_p50_ms"], snapshot["queue_wait_p95_ms"] = _percentiles_ms(waits)
@@ -942,6 +785,27 @@ class ServingEngine:
             snapshot["generation"] = driver.stats
         return snapshot
 
+    def _check_admitting_locked(self) -> None:
+        """Raise the typed rejection unless the engine is serving (lock held)."""
+        if self._state == "closed":
+            raise EngineClosed("cannot submit to a closed ServingEngine")
+        if self._state == "draining":
+            raise EngineDraining("engine is draining toward shutdown; new requests are rejected")
+        if self._state == "failed":
+            raise EngineFailed(
+                "engine is in the failed state (worker crash-loop exhausted "
+                f"max_worker_restarts={self.max_worker_restarts}); build a new engine"
+            ) from self._failure_cause
+
+    def _admit(self, add: Callable, *args):
+        """Run one admission, counting a :class:`QueueFull` rejection."""
+        try:
+            return add(*args)
+        except QueueFull:
+            with self._lock:
+                self._stats["rejected_requests"] += 1
+            raise
+
     def _note_expired(self, count: int) -> None:
         with self._lock:
             self._stats["expired_requests"] += count
@@ -955,8 +819,14 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
-    def _start_slot(self, index: int, replica: Module) -> _WorkerSlot:
-        slot = _WorkerSlot(index, replica)
+    def _new_worker(self, index: int):
+        """Build slot ``index``'s worker: the one place the worker kind is chosen."""
+        if self.worker_mode == "process":
+            return ProcessWorker(index, self._mp_ctx, self._worker_spec)
+        return ThreadWorker(index, self.replicas[index])
+
+    def _start_slot(self, index: int) -> _WorkerSlot:
+        slot = _WorkerSlot(index, self._new_worker(index))
         slot.thread = threading.Thread(
             target=self._work,
             args=(slot,),
@@ -967,159 +837,62 @@ class ServingEngine:
         return slot
 
     def _work(self, slot: _WorkerSlot) -> None:
+        """The dispatcher loop of every slot: pull a group, run it on the worker.
+
+        A worker death — a crashed thread, or a dead pipe raising
+        :class:`~repro.serving.ipc.WorkerProcessDied` — lands in the crash
+        handler with ``slot.inflight`` still populated; the supervisor
+        recovers those requests and restarts the slot.
+        """
         try:
+            if slot.worker.await_ready(lambda: slot.retired or self.state in ("closed", "failed")):
+                with self._lock:
+                    self._never_ready_deaths = 0
             while True:
                 group = self._scheduler.next_group()
                 if group is None:
                     break
+                if slot.retired:
+                    # the supervisor retired this slot (its idle child died)
+                    # while we waited for work: hand the group to the
+                    # replacement instead of a dead pipe
+                    self._requeue(group)
+                    return
                 slot.inflight = tuple(group)
                 slot.forward_started = time.monotonic()
                 self._forward_group(group, slot)
                 slot.inflight = ()
                 slot.forward_started = None
-                if slot.abandoned:
+                if slot.retired:
                     # written off as hung while we were forwarding: a
                     # replacement owns this slot now, so stop pulling groups
                     return
-            slot.finished = True
+            slot.retired = True
+            slot.worker.shutdown()
         except BaseException as exc:  # noqa: BLE001 - the supervisor owns recovery
-            # a crash (injected or real) leaves slot.inflight populated; the
-            # supervisor recovers those requests and restarts the slot.
             # Swallow rather than re-raise: threading.excepthook would only
             # spam stderr for a death that is handled.
             slot.crash_exc = exc
 
-    # -- process workers ------------------------------------------------
-    def _start_process_slot(self, index: int) -> _ProcessSlot:
-        slot = _ProcessSlot(index)
-        parent_conn, child_conn = self._mp_ctx.Pipe(duplex=True)
-        slot.proc = self._mp_ctx.Process(
-            target=worker_main,
-            args=(child_conn, self._worker_spec),
-            name=f"repro-serving-proc-{index}",
-            daemon=True,
-        )
-        slot.proc.start()
-        # close the parent's copy of the child end: the child's death must
-        # surface as EOF on our end, which it cannot while we hold this open
-        child_conn.close()
-        slot.channel = ipc.Channel(parent_conn)
-        slot.thread = threading.Thread(
-            target=self._work_process,
-            args=(slot,),
-            name=f"repro-serving-{index}",
-            daemon=True,
-        )
-        slot.thread.start()
-        return slot
-
-    def _work_process(self, slot: _ProcessSlot) -> None:
-        """Dispatcher loop: the process-mode twin of :meth:`_work`.
-
-        Pulls groups exactly like a thread worker; :meth:`_forward_group`
-        routes the actual model call over IPC.  A dead pipe raises
-        :class:`~repro.serving.ipc.WorkerProcessDied` (``BaseException``),
-        landing in the same crash handler — the supervisor cannot tell a
-        process death from a thread death, by design.
-        """
-        try:
-            self._await_ready(slot)
-            while True:
-                group = self._scheduler.next_group()
-                if group is None:
-                    break
-                if slot.abandoned:
-                    # the supervisor retired this slot (e.g. idle child died)
-                    # while we were blocked on the scheduler: hand the group
-                    # to the replacement instead of a dead pipe
-                    self._requeue_group(group)
-                    return
-                slot.inflight = tuple(group)
-                slot.forward_started = time.monotonic()
-                self._forward_group(group, slot)
-                slot.inflight = ()
-                slot.forward_started = None
-                if slot.abandoned:
-                    return
-            slot.finished = True
-            slot.shutdown_child()
-        except BaseException as exc:  # noqa: BLE001 - the supervisor owns recovery
-            slot.crash_exc = exc
-
-    def _await_ready(self, slot: _ProcessSlot) -> None:
-        """Block until the child reports ready (or its build failed, or we stop)."""
-        while True:
-            if slot.channel.poll(0.1):
-                kind, _seq, payload = slot.channel.recv()
-                if kind == "ready":
-                    slot.ready = True
-                    slot.ready_info = payload if isinstance(payload, dict) else {}
-                    with self._lock:
-                        self._never_ready_deaths = 0
-                    return
-                if kind == "init_error":
-                    # restarting cannot fix a replica that will not build —
-                    # mark it so recovery fails the engine instead of looping
-                    slot.init_failed = True
-                    raise ipc.WorkerProcessDied(
-                        f"worker process {slot.index} failed to build its replica"
-                    ) from payload
-                continue  # unknown handshake frames are ignored
-            if slot.abandoned or self._stop_supervisor.is_set():
-                return
-            with self._lock:
-                if self._state in ("closed", "failed"):
-                    return
-
-    def _requeue_group(self, group: Sequence[Request]) -> None:
+    def _requeue(self, requests: Iterable[Request]) -> None:
+        """Put requests back into the scheduler: a retired slot's group, or due retries."""
         failed = 0
-        for request in group:
+        for request in requests:
             if request.future.done():
-                continue
+                continue  # cancelled or resolved meanwhile
             try:
                 self._scheduler.add(request)
-            except (EngineClosed, QueueFull):
+            except EngineClosed:
                 failed += request.fail(
-                    WorkerCrashed(
-                        "worker slot was retired before this request could be requeued"
-                    )
+                    WorkerCrashed("engine closed before this request could be requeued")
                 )
+            except QueueFull as exc:
+                failed += request.fail(exc)
         if failed:
             with self._lock:
                 self._stats["failed_requests"] += failed
 
-    def _ipc_forward(self, slot: _ProcessSlot, stacked: np.ndarray) -> np.ndarray:
-        """One batch round trip to the worker process; returns the output array.
-
-        The ``ipc.roundtrip`` fault site fires here with ``kill=`` wired to
-        SIGKILL the child — the injected hard death is then *observed* the
-        same way a real one is: the pipe EOFs and
-        :class:`~repro.serving.ipc.WorkerProcessDied` kills the dispatcher.
-        An ordinary exception from the child re-raises here and stays scoped
-        to the group (thread-mode semantics).
-        """
-        faults.fire(
-            "ipc.roundtrip",
-            worker=slot.index,
-            kill=slot.kill,
-            pid=slot.proc.pid if slot.proc is not None else None,
-        )
-        slot.seq += 1
-        seq = slot.seq
-        slot.channel.send("forward", seq, stacked)
-        while True:
-            kind, rseq, payload = slot.channel.recv()
-            if rseq != seq:
-                continue  # stale frame from a superseded round trip
-            if kind == "result":
-                output, _child_forward_s = payload
-                return np.asarray(output)
-            if kind == "error":
-                raise payload
-            raise ipc.WorkerProcessDied(f"unexpected IPC reply kind {kind!r}")
-
     def _forward_group(self, requests: List[Request], slot: _WorkerSlot) -> None:
-        model = slot.replica
         # transition every future to RUNNING; a request cancelled while it
         # waited in the queue is dropped here (and a RUNNING future can no
         # longer be cancelled, so resolving it below cannot hit
@@ -1149,12 +922,9 @@ class ServingEngine:
             else:
                 stacked = np.stack(samples)
             t0 = time.perf_counter()
-            if isinstance(slot, _ProcessSlot):
-                # forward_s then includes the IPC round trip — the honest
-                # per-group cost of process mode, not just child compute
-                output = self._ipc_forward(slot, stacked)
-            else:
-                output = forward_batch(model, stacked)
+            # for a process worker forward_s includes the IPC round trip —
+            # the honest per-group cost of process mode, not just child compute
+            output = slot.worker.run(stacked)
             forward_s = time.perf_counter() - t0
             if output.shape[0] != len(samples):
                 raise RuntimeError(
@@ -1236,40 +1006,21 @@ class ServingEngine:
         with self._lock:
             while self._retry_heap and self._retry_heap[0][0] <= now:
                 due.append(heapq.heappop(self._retry_heap)[2])
-        for request in due:
-            if request.future.done():
-                continue  # cancelled or resolved while backing off
-            try:
-                self._scheduler.add(request)
-            except (EngineClosed, QueueFull) as exc:
-                error: BaseException = exc
-                if isinstance(exc, EngineClosed):
-                    error = WorkerCrashed(
-                        "engine closed before this request's retry could be requeued"
-                    )
-                if request.fail(error):
-                    with self._lock:
-                        self._stats["failed_requests"] += 1
+        self._requeue(due)
 
-    def _replace_slot(self, slot: _WorkerSlot) -> None:
+    def _replace_slot(self, slot: _WorkerSlot, cause: BaseException) -> None:
         if not self._restart_allowed():
             self._fail_engine(
                 f"worker restarts exceeded max_worker_restarts={self.max_worker_restarts} "
                 f"within {self.restart_window_s:g} s — the replica (or checkpoint) is "
                 "poisoning every worker started against it",
-                slot.crash_exc,
+                cause,
             )
             return
-        if isinstance(slot, _ProcessSlot):
-            replacement: _WorkerSlot = self._start_process_slot(slot.index)
-        else:
-            replacement = self._start_slot(slot.index, slot.replica)
+        replacement = self._start_slot(slot.index)
         with self._lock:
             self._stats["worker_restarts"] += 1
-            for position, existing in enumerate(self._slots):
-                if existing is slot:
-                    self._slots[position] = replacement
-                    break
+            self._slots[self._slots.index(slot)] = replacement
 
     def _restart_allowed(self) -> bool:
         """Crash-loop containment: admit this restart into the rolling window?"""
@@ -1286,15 +1037,6 @@ class ServingEngine:
             self._restart_times.append(now)
             return True
 
-    def _failed_error_locked(self) -> EngineFailed:
-        """Build the typed rejection for a failed engine (call with the lock held)."""
-        error = EngineFailed(
-            "engine is in the failed state (worker crash-loop exhausted "
-            f"max_worker_restarts={self.max_worker_restarts}); build a new engine"
-        )
-        error.__cause__ = self._failure_cause
-        return error
-
     def _fail_engine(self, reason: str, cause: Optional[BaseException]) -> None:
         """Stop restarting, fail every pending request typed, refuse new work.
 
@@ -1308,14 +1050,28 @@ class ServingEngine:
                 return
             self._state = "failed"
             self._failure_cause = cause
+        self._fail_leftovers(EngineFailed, f"engine entered the failed state: {reason}", cause)
+
+    def _fail_leftovers(
+        self,
+        kind: type,
+        message: str,
+        cause: Optional[BaseException] = None,
+        slots: Sequence[_WorkerSlot] = (),
+    ) -> None:
+        """Stop admission, then fail every request still queued, backing off,
+        or in flight on ``slots`` with its own ``kind(message)``."""
         self._scheduler.close()
         leftovers = self._scheduler.drain_pending()
         with self._lock:
-            while self._retry_heap:
-                leftovers.append(heapq.heappop(self._retry_heap)[2])
+            leftovers.extend(request for _, _, request in self._retry_heap)
+            self._retry_heap.clear()
+        for slot in slots:
+            leftovers.extend(slot.inflight)
+            slot.inflight = ()
         failed = 0
         for request in leftovers:
-            error = EngineFailed(f"engine entered the failed state: {reason}")
+            error = kind(message)
             error.__cause__ = cause
             failed += request.fail(error)
         if failed:
@@ -1332,94 +1088,54 @@ class ServingEngine:
     def _supervise_once(self, now: float) -> None:
         self._flush_due_retries(now)
         for slot in list(self._slots):
-            if slot.abandoned or slot.finished:
+            if slot.retired:
                 continue
-            thread = slot.thread
-            if thread is not None and thread.is_alive():
-                if (
-                    isinstance(slot, _ProcessSlot)
-                    and slot.ready
-                    and not slot.inflight
-                    and slot.proc is not None
-                    and slot.proc.exitcode is not None
-                ):
-                    # the child died *between* forwards: no round trip is in
-                    # flight to trip over the EOF, so the dispatcher would
-                    # block on the scheduler forever — retire the slot here
-                    # (a mid-forward death surfaces through the pipe instead)
-                    self._abandon_dead_process_slot(slot)
-                    continue
-                if (
-                    self.hung_forward_timeout_s is not None
-                    and slot.forward_started is not None
-                    and now - slot.forward_started > self.hung_forward_timeout_s
-                ):
-                    self._abandon_hung_slot(slot)
-                continue
-            self._recover_crashed_slot(slot)
+            if not slot.thread.is_alive():
+                self._retire_slot(slot, "died mid-forward")
+            elif not slot.inflight and slot.worker.died_idle():
+                # no round trip is in flight to trip over the EOF, so the
+                # slot's thread would wait on the scheduler forever
+                self._retire_slot(slot, "exited while idle")
+            elif (
+                self.hung_forward_timeout_s is not None
+                and slot.forward_started is not None
+                and now - slot.forward_started > self.hung_forward_timeout_s
+            ):
+                timeout_ms = self.hung_forward_timeout_s * 1e3
+                self._retire_slot(
+                    slot, f"abandoned as hung: forward exceeded {timeout_ms:.0f} ms", hung=True
+                )
 
-    def _abandon_hung_slot(self, slot: _WorkerSlot) -> None:
-        """Write off a worker stuck in one forward; a replacement takes its slot.
+    def _retire_slot(self, slot: _WorkerSlot, why: str, hung: bool = False) -> None:
+        """End a slot whose worker died mid-forward, hung, or exited while idle.
 
-        A hung *thread* cannot be killed — it is left to finish (or never
-        finish) as a zombie that stops pulling groups; if it does finish, its
-        late results lose the future-resolution race harmlessly: recovered
+        Its in-flight requests are retried or failed with a
+        :class:`~repro.serving.errors.WorkerCrashed` that says ``why``, and a
+        replacement takes the slot.  A hung *thread* cannot be killed: it is
+        left to finish (or never finish) and stops pulling groups; its late
+        results lose the future-resolution race harmlessly — recovered
         requests were either failed (fail wins) or requeued (a late success
         just resolves the future first, bit-identically).  A hung *process*
-        can be killed, so it is: SIGKILL, then reap — process mode never
-        leaks a runaway forward.
+        is killed, so process mode never leaks a runaway forward, and every
+        retired process is reaped, so none is left a zombie.
         """
-        slot.abandoned = True
+        slot.retired = True
         inflight, slot.inflight = list(slot.inflight), ()
-        with self._lock:
-            self._stats["hung_workers"] += 1
-            self._stats["worker_crashes"] += 1
-        error = WorkerCrashed(
-            f"worker {slot.index} abandoned as hung: forward exceeded "
-            f"{self.hung_forward_timeout_s * 1e3:.0f} ms"
-        )
-        self._recover_group(inflight, error)
-        if isinstance(slot, _ProcessSlot):
-            slot.kill()
-            slot.reap(timeout=2.0)
-        if self.restart_crashed_workers:
-            self._replace_slot(slot)
-
-    def _abandon_dead_process_slot(self, slot: _ProcessSlot) -> None:
-        """Retire a slot whose child died while idle (no in-flight group to recover)."""
-        slot.abandoned = True
-        exitcode = slot.reap(timeout=2.0)
-        slot.crash_exc = ipc.WorkerProcessDied(
-            f"worker process {slot.index} exited while idle ({_describe_exit(exitcode)})",
-            exitcode,
-        )
+        worker = slot.worker
+        if hung:
+            worker.kill()
+        ended = worker.reap(timeout=2.0)
         with self._lock:
             self._stats["worker_crashes"] += 1
-        if self.restart_crashed_workers:
-            self._replace_slot(slot)
-
-    def _recover_crashed_slot(self, slot: _WorkerSlot) -> None:
-        slot.finished = True  # handled: never recover the same death twice
-        inflight, slot.inflight = list(slot.inflight), ()
-        with self._lock:
-            self._stats["worker_crashes"] += 1
-        if isinstance(slot, _ProcessSlot):
-            exitcode = slot.reap(timeout=2.0)
-            error = WorkerCrashed(
-                f"worker process {slot.index} died mid-forward ({_describe_exit(exitcode)})"
-            )
-        else:
-            error = WorkerCrashed(f"worker {slot.index} died mid-forward")
+            self._stats["hung_workers"] += int(hung)
+        error = WorkerCrashed(f"{worker.name} {why}" + (f" ({ended})" if ended else ""))
         error.__cause__ = slot.crash_exc
         self._recover_group(inflight, error)
-        if isinstance(slot, _ProcessSlot) and slot.init_failed:
+        if worker.init_failed:
             # the replica will not build in *any* child; restarting is a loop
-            self._fail_engine(
-                f"worker process {slot.index} cannot build its model replica",
-                error,
-            )
+            self._fail_engine(f"{worker.name} cannot build its model replica", error)
             return
-        if isinstance(slot, _ProcessSlot) and not slot.ready:
+        if not worker.ready:
             # died before ever handshaking: the child could not even start
             # (spawn re-import failure, missing interpreter state, OOM at
             # import).  Unlike a mid-forward death, restarting cannot help
@@ -1436,4 +1152,4 @@ class ServingEngine:
                 )
                 return
         if self.restart_crashed_workers:
-            self._replace_slot(slot)
+            self._replace_slot(slot, error)

@@ -41,8 +41,8 @@ import numpy as np
 from repro.autograd.tensor import no_grad
 from repro.serving import faults
 from repro.serving.api import GenerationRequest
-from repro.serving.errors import EngineClosed, QueueFull, RequestShed, WorkerCrashed
-from repro.serving.scheduler import DeadlineExceeded, TokenScheduler
+from repro.serving.errors import EngineClosed, WorkerCrashed
+from repro.serving.scheduler import Admission, DeadlineExceeded, TokenScheduler
 
 __all__ = [
     "DecodeStatePool",
@@ -208,11 +208,15 @@ class GenerationSession:
         if self.future is not None and self.future.set_running_or_notify_cancel():
             self.future.set_result(sequence)
 
-    def fail(self, exc: BaseException) -> None:
+    def fail(self, exc: BaseException) -> bool:
+        """Deliver ``exc``; False if the caller had already cancelled the future."""
         if self.stream is not None:
             self.stream._fail(exc)
-        if self.future is not None and self.future.set_running_or_notify_cancel():
+            return True
+        if self.future.set_running_or_notify_cancel():
             self.future.set_exception(exc)
+            return True
+        return False
 
 
 class GenerationStream:
@@ -273,6 +277,9 @@ class GenerationDriver:
     admitted next tick, so prefills co-batch with in-flight decodes instead of
     waiting for a drain.
 
+    A session whose future the caller cancelled is dropped at the next tick,
+    waiting or running, and its cache rows go back to the pool.
+
     Failure behaviour: a tick-thread death (injected via the
     ``"generation.tick"`` fault site, or real) fails **every** open session
     with :class:`~repro.serving.errors.WorkerCrashed` — futures reject and
@@ -280,10 +287,12 @@ class GenerationDriver:
     reports :attr:`crashed` so the engine builds a fresh one for later
     arrivals.  An *ordinary* forward exception stays scoped to the storage
     group that raised it: its sessions fail with the original exception,
-    other storage kinds keep decoding.  ``max_waiting`` bounds the waiting
+    other storage kinds keep decoding.  ``admission`` bounds the waiting
     queue (:class:`~repro.serving.errors.QueueFull` fast-fail, or shedding of
     a strictly lower-priority waiting session, which fails with
-    :class:`~repro.serving.errors.RequestShed`).
+    :class:`~repro.serving.errors.RequestShed`); the engine passes its own
+    :class:`~repro.serving.scheduler.Admission`, so one-shot and generation
+    traffic follow the same rule.
     """
 
     def __init__(
@@ -291,7 +300,7 @@ class GenerationDriver:
         model,
         slots: int = 16,
         memory_budget: Optional[int] = None,
-        max_waiting: Optional[int] = None,
+        admission: Optional[Admission] = None,
     ) -> None:
         if not hasattr(model, "forward_step") or not hasattr(model, "new_decode_state"):
             raise TypeError(
@@ -302,7 +311,7 @@ class GenerationDriver:
         if memory_budget is not None:
             probe = model.new_decode_state(1, storage="float32")
             slots = min(int(slots), max(1, int(memory_budget) // max(1, probe.row_nbytes)))
-        self._scheduler = TokenScheduler(int(slots), max_waiting=max_waiting)
+        self._scheduler = TokenScheduler(int(slots), admission=admission)
         self._pools: Dict[str, DecodeStatePool] = {}
         self._cond = threading.Condition()
         self._thread: Optional[threading.Thread] = None
@@ -335,7 +344,7 @@ class GenerationDriver:
         :meth:`close`, :class:`~repro.serving.errors.WorkerCrashed` if the
         tick thread died (the engine replaces crashed drivers, so only direct
         driver users see this), and :class:`~repro.serving.errors.QueueFull`
-        at the ``max_waiting`` cap.
+        when the admission rule rejects the request.
         """
         stream = GenerationStream() if request.stream else None
         future = None if request.stream else Future()
@@ -363,12 +372,7 @@ class GenerationDriver:
             self._cond.notify_all()
         if victim is not None:
             # resolve outside the lock: future/stream delivery runs client code
-            victim.fail(
-                RequestShed(
-                    "generation request shed while waiting: queue at depth cap and "
-                    "higher-priority traffic arrived"
-                )
-            )
+            self._scheduler.admission.shed(victim)
         return session
 
     def close(self, timeout: float = 10.0) -> None:
@@ -386,7 +390,7 @@ class GenerationDriver:
         if thread is not None:
             thread.join(timeout=timeout)
             if thread.is_alive():
-                self._fail_open_sessions(
+                self._fail_sessions(
                     WorkerCrashed(
                         "generation driver could not drain before the close timeout"
                     )
@@ -434,17 +438,25 @@ class GenerationDriver:
             self._cond.notify_all()
         error = WorkerCrashed("generation tick thread died; this session cannot finish")
         error.__cause__ = exc
-        self._fail_open_sessions(error)
+        self._fail_sessions(error)
 
-    def _fail_open_sessions(self, error: BaseException) -> None:
+    def _drop_locked(self, session: GenerationSession) -> None:
+        """Take a session off the scheduler and give its cache rows back."""
+        self._scheduler.discard(session)
+        if session.rows is not None:
+            self._pool(session.storage).release(session.rows)
+            session.rows = None
+
+    def _fail_sessions(
+        self, error: BaseException, sessions: Optional[List[GenerationSession]] = None
+    ) -> None:
+        """Drop ``sessions`` (default: every open one) and fail them with ``error``."""
         with self._cond:
-            open_sessions = list(self._scheduler.waiting) + list(self._scheduler.running)
-            for session in open_sessions:
-                self._scheduler.discard(session)
-                if session.rows is not None:
-                    self._pool(session.storage).release(session.rows)
-                    session.rows = None
-        for session in open_sessions:
+            if sessions is None:
+                sessions = self._scheduler.waiting + self._scheduler.running
+            for session in sessions:
+                self._drop_locked(session)
+        for session in sessions:
             session.fail(error)
 
     def _run_loop(self) -> None:
@@ -457,6 +469,9 @@ class GenerationDriver:
                     self._cond.wait()
                 if self._closed and not busy:
                     return
+                for session in self._scheduler.waiting + self._scheduler.running:
+                    if session.future is not None and session.future.cancelled():
+                        self._drop_locked(session)
                 now = time.monotonic()
                 admitted, preempted, expired = self._scheduler.plan(now)
                 for session in preempted:
@@ -491,27 +506,11 @@ class GenerationDriver:
             try:
                 self._tick_storage(storage, sessions, finished)
             except Exception as exc:  # noqa: BLE001 - scoped: other storages keep decoding
-                self._fail_storage_group(sessions, finished, exc)
+                with self._cond:
+                    self._stats["tick_failures"] += 1
+                self._fail_sessions(exc, [s for s in sessions if s not in finished])
         for session in finished:
             session.resolve()
-
-    def _fail_storage_group(
-        self,
-        sessions: List[GenerationSession],
-        finished: List[GenerationSession],
-        exc: Exception,
-    ) -> None:
-        """One storage group's forward failed: fail exactly its open sessions."""
-        failed = [s for s in sessions if s not in finished]
-        with self._cond:
-            self._stats["tick_failures"] += 1
-            for session in failed:
-                self._scheduler.discard(session)
-                if session.rows is not None:
-                    self._pool(session.storage).release(session.rows)
-                    session.rows = None
-        for session in failed:
-            session.fail(exc)
 
     def _tick_storage(
         self,
@@ -554,8 +553,6 @@ class GenerationDriver:
                     0, sum(len(s) for s in session.suffixes) - before
                 )
                 if session.finished:
-                    pool.release(session.rows)
-                    session.rows = None
-                    self._scheduler.on_finished(session)
+                    self._drop_locked(session)
                     self._stats["sequences"] += 1
                     finished.append(session)

@@ -30,14 +30,15 @@ instead of silently running late.
 
 Overload control
 ----------------
-An unbounded queue accepts work it can never serve; ``max_queue_depth``
-bounds it.  At the cap, admission either fast-fails the new request with
+An unbounded queue accepts work it can never serve.  One
+:class:`Admission` rule bounds the waiting queue of both schedulers: at its
+depth cap it either fast-fails the new arrival with
 :class:`~repro.serving.errors.QueueFull` (``shed_policy="reject"``) or, with
 ``shed_policy="priority"``, evicts the least urgent *strictly lower-priority*
-queued request (failing its future with
-:class:`~repro.serving.errors.RequestShed`) to admit the newcomer — the
-lowest priority class is shed first, and work already handed to a worker is
-never shed, so admitted work is never starved by arrivals.
+waiting item (failing it with :class:`~repro.serving.errors.RequestShed`) to
+admit the newcomer — the lowest priority class is shed first, and work
+already handed to a worker (or decoding) is never shed, so admitted work is
+never starved by arrivals.  Each scheduler keeps its own urgency order.
 
 The scheduler is engine-agnostic: it never touches models or samples, only
 :class:`Request` records, and any number of worker threads may block in
@@ -50,13 +51,14 @@ import math
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.serving.errors import DeadlineExceeded, EngineClosed, QueueFull, RequestShed
 
 __all__ = [
+    "Admission",
     "DeadlineExceeded",
     "Request",
     "ContinuousScheduler",
@@ -79,6 +81,80 @@ def compat_key(sample: np.ndarray) -> Tuple:
     if sample.ndim <= 1:
         return ("exact", sample.dtype.str, sample.shape)
     return ("padded", sample.dtype.str, sample.ndim, sample.shape[1:])
+
+
+class Admission:
+    """The queue-depth cap and shed policy, shared by both schedulers.
+
+    Parameters
+    ----------
+    max_depth:
+        Optional cap on waiting (not yet running) items.  ``None`` admits
+        everything.
+    shed_policy:
+        ``"reject"`` (default): an arrival at a full queue fast-fails with
+        :class:`~repro.serving.errors.QueueFull`.  ``"priority"``: if a
+        strictly lower-priority item is waiting, the least urgent such item
+        is shed and the newcomer admitted; otherwise the newcomer is
+        rejected.  Equal priority is never shed.
+    on_shed:
+        Optional callback invoked with the number of items shed.
+    """
+
+    def __init__(
+        self,
+        max_depth: Optional[int] = None,
+        shed_policy: str = "reject",
+        on_shed: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        if max_depth is not None and int(max_depth) < 1:
+            raise ValueError(f"max_queue_depth must be >= 1, got {max_depth!r}")
+        if shed_policy not in ("reject", "priority"):
+            raise ValueError(f"shed_policy must be 'reject' or 'priority', got {shed_policy!r}")
+        self.max_depth = None if max_depth is None else int(max_depth)
+        self.shed_policy = shed_policy
+        self._on_shed = on_shed
+
+    def victim(self, incoming, depth: int, waiting: Iterable, urgency: Callable):
+        """Decide one arrival under the caller's lock: ``None``, or the item to evict.
+
+        ``depth`` is the current queue length; the queue itself
+        (``waiting``) is walked only at the cap.  ``urgency`` is the
+        scheduler's sort key (smaller is more urgent).  Raises
+        :class:`~repro.serving.errors.QueueFull` when the newcomer is
+        rejected.  The caller removes the victim, then calls :meth:`shed`
+        outside its lock.
+        """
+        if self.max_depth is None or depth < self.max_depth:
+            return None
+        victim = None
+        if self.shed_policy == "priority":
+            for item in waiting:
+                if item.priority < incoming.priority and (
+                    victim is None or urgency(item) > urgency(victim)
+                ):
+                    victim = item
+        if victim is None:
+            raise QueueFull(
+                f"queue is at its depth cap ({self.max_depth} waiting); request rejected"
+            )
+        return victim
+
+    def shed(self, victim) -> None:
+        """Fail an evicted item with :class:`~repro.serving.errors.RequestShed`.
+
+        Call it outside scheduler locks: resolving a future may run client
+        callbacks.  Only a shed that reached the caller is counted — a
+        victim cancelled meanwhile is not.
+        """
+        landed = victim.fail(
+            RequestShed(
+                f"request shed after {time.monotonic() - victim.submitted:.3f}s queued: "
+                "queue at depth cap and higher-priority traffic arrived"
+            )
+        )
+        if landed and self._on_shed is not None:
+            self._on_shed(1)
 
 
 class Request:
@@ -188,18 +264,9 @@ class ContinuousScheduler:
     on_expired:
         Optional callback invoked with the number of requests that were failed
         with :class:`DeadlineExceeded` (used by the engine's stats).
-    max_queue_depth:
-        Optional cap on total queued (not yet handed out) requests.  At the
-        cap, :meth:`add` applies ``shed_policy``.
-    shed_policy:
-        ``"reject"`` (default): a request arriving at a full queue fast-fails
-        with :class:`~repro.serving.errors.QueueFull`.  ``"priority"``: if a
-        strictly lower-priority request is queued, the least urgent such
-        request is shed (its future fails with
-        :class:`~repro.serving.errors.RequestShed`) and the newcomer is
-        admitted; otherwise the newcomer is rejected.
-    on_shed:
-        Optional callback invoked with the number of requests shed.
+    admission:
+        The :class:`Admission` rule for queued (not yet handed out)
+        requests; the default admits everything.
     """
 
     def __init__(
@@ -207,24 +274,16 @@ class ContinuousScheduler:
         max_batch_size: int,
         max_wait_s: float,
         on_expired: Optional[Callable[[int], None]] = None,
-        max_queue_depth: Optional[int] = None,
-        shed_policy: str = "reject",
-        on_shed: Optional[Callable[[int], None]] = None,
+        admission: Optional[Admission] = None,
     ) -> None:
         if int(max_batch_size) < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size!r}")
         if max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s!r}")
-        if max_queue_depth is not None and int(max_queue_depth) < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth!r}")
-        if shed_policy not in ("reject", "priority"):
-            raise ValueError(f"shed_policy must be 'reject' or 'priority', got {shed_policy!r}")
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
-        self.max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
-        self.shed_policy = shed_policy
+        self.admission = admission if admission is not None else Admission()
         self._on_expired = on_expired
-        self._on_shed = on_shed
         self._cond = threading.Condition()
         self._buckets: Dict[Tuple, List[Request]] = {}
         #: when each bucket's admission window opened = the arrival time of
@@ -243,21 +302,20 @@ class ContinuousScheduler:
     def add(self, request: Request) -> None:
         """Admit one request into its compatibility bucket (wakes waiting workers).
 
-        Raises :class:`~repro.serving.errors.QueueFull` at the queue-depth
-        cap (after shedding a lower-priority victim instead, under
-        ``shed_policy="priority"``, when one exists).
+        At the queue-depth cap the :class:`Admission` rule either sheds a
+        lower-priority victim or raises
+        :class:`~repro.serving.errors.QueueFull`.
         """
-        victim: Optional[Request] = None
         with self._cond:
             if self._closed:
                 raise EngineClosed("cannot add to a closed scheduler")
-            if self.max_queue_depth is not None and self._pending >= self.max_queue_depth:
-                victim = self._shed_victim_locked(request)
-                if victim is None:
-                    raise QueueFull(
-                        f"serving queue is at its depth cap ({self.max_queue_depth} "
-                        f"pending requests); request rejected"
-                    )
+            victim = self.admission.victim(
+                request,
+                self._pending,
+                (queued for bucket in self._buckets.values() for queued in bucket),
+                Request.urgency,
+            )
+            if victim is not None:
                 self._remove_locked(victim)
             bucket = self._buckets.setdefault(request.key, [])
             if not bucket:
@@ -274,47 +332,30 @@ class ContinuousScheduler:
             self._pending += 1
             self._cond.notify_all()
         if victim is not None:
-            # resolve outside the lock: future resolution may run client code
-            shed = victim.fail(
-                RequestShed(
-                    f"request shed after {time.monotonic() - victim.submitted:.3f}s queued: "
-                    f"queue at depth cap and higher-priority traffic arrived"
-                )
-            )
-            if shed and self._on_shed is not None:
-                self._on_shed(1)
-
-    def _shed_victim_locked(self, incoming: Request) -> Optional[Request]:
-        """The least urgent queued request strictly below ``incoming``'s priority."""
-        if self.shed_policy != "priority":
-            return None
-        victim: Optional[Request] = None
-        for bucket in self._buckets.values():
-            for queued in bucket:
-                if queued.priority >= incoming.priority:
-                    continue
-                if victim is None or queued.urgency() > victim.urgency():
-                    victim = queued
-        return victim
+            self.admission.shed(victim)
 
     def _remove_locked(self, request: Request) -> None:
-        """Drop one queued request, repairing its bucket's window/meta caches."""
-        bucket = self._buckets.get(request.key)
-        if bucket is None or request not in bucket:
-            return
-        bucket.remove(request)
+        """Drop one queued request (an admission victim)."""
+        rest = [r for r in self._buckets[request.key] if r is not request]
         self._pending -= 1
-        if bucket:
-            self._opened[request.key] = min(r.submitted for r in bucket)
-            deadlines = [r.deadline for r in bucket if r.deadline is not None]
-            self._meta[request.key] = (
-                min(r.urgency() for r in bucket),
-                min(deadlines) if deadlines else None,
-            )
-        else:
-            del self._buckets[request.key]
-            self._opened.pop(request.key, None)
-            self._meta.pop(request.key, None)
+        self._set_bucket_locked(request.key, rest)
+
+    def _set_bucket_locked(self, key: Tuple, rest: List[Request]) -> None:
+        """Replace a bucket's requests, repairing its window/meta caches.
+
+        The window stays anchored to the remaining requests' own arrival — a
+        request bumped by more urgent traffic keeps its already-elapsed wait
+        instead of restarting a full ``max_wait`` window.
+        """
+        if not rest:
+            del self._buckets[key]
+            self._opened.pop(key, None)
+            self._meta.pop(key, None)
+            return
+        self._buckets[key] = rest
+        self._opened[key] = min(r.submitted for r in rest)
+        deadlines = [r.deadline for r in rest if r.deadline is not None]
+        self._meta[key] = (min(r.urgency() for r in rest), min(deadlines) if deadlines else None)
 
     def close(self) -> None:
         """Stop admission; queued requests stay servable until drained."""
@@ -423,21 +464,7 @@ class ContinuousScheduler:
         alive.sort(key=Request.urgency)
         group, rest = alive[: self.max_batch_size], alive[self.max_batch_size :]
         self._pending -= len(group) + len(dropped)
-        if rest:
-            self._buckets[key] = rest
-            # the leftovers' window stays anchored to their own arrival — a
-            # request bumped by more urgent traffic keeps its already-elapsed
-            # wait instead of restarting a full max_wait window
-            self._opened[key] = min(r.submitted for r in rest)
-            deadlines = [r.deadline for r in rest if r.deadline is not None]
-            self._meta[key] = (
-                min(r.urgency() for r in rest),
-                min(deadlines) if deadlines else None,
-            )
-        else:
-            del self._buckets[key]
-            self._opened.pop(key, None)
-            self._meta.pop(key, None)
+        self._set_bucket_locked(key, rest)
         return group, dropped
 
 
@@ -460,25 +487,21 @@ class TokenScheduler:
       evict its evictor, because equal urgency never preempts.
 
     Urgency is ``(-priority, order)`` — deadlines affect expiry, not ordering,
-    so a tight deadline does not let a late request leapfrog the queue.
+    so a tight deadline does not let a late request leapfrog the queue.  The
+    waiting queue is bounded by an :class:`Admission` rule (the default admits
+    everything).
 
-    Scheduled items are opaque beyond five attributes: ``slots`` (rows
-    needed), ``priority``, ``order``, ``deadline`` and ``submitted``.  The
-    class is not itself thread-safe; the generation driver serialises calls
-    under its own lock.
+    Scheduled items are opaque beyond six attributes: ``slots`` (rows
+    needed), ``priority``, ``order``, ``deadline``, ``submitted`` and, for
+    shedding, ``fail(exc)``.  The class is not itself thread-safe; the
+    generation driver serialises calls under its own lock.
     """
 
-    def __init__(
-        self,
-        total_slots: int,
-        max_waiting: Optional[int] = None,
-    ) -> None:
+    def __init__(self, total_slots: int, admission: Optional[Admission] = None) -> None:
         if int(total_slots) < 1:
             raise ValueError(f"total_slots must be >= 1, got {total_slots!r}")
-        if max_waiting is not None and int(max_waiting) < 1:
-            raise ValueError(f"max_waiting must be >= 1, got {max_waiting!r}")
         self.total_slots = int(total_slots)
-        self.max_waiting = None if max_waiting is None else int(max_waiting)
+        self.admission = admission if admission is not None else Admission()
         self._waiting: List = []
         self._running: List = []
 
@@ -501,10 +524,9 @@ class TokenScheduler:
     def add(self, item):
         """Queue a session for admission (it needs ``item.slots`` rows).
 
-        With a ``max_waiting`` cap, a full waiting queue either sheds the
-        least urgent strictly lower-priority waiting session — returned to
-        the caller, which owes its future a
-        :class:`~repro.serving.errors.RequestShed` — or raises
+        At the :class:`Admission` cap a full waiting queue either sheds a
+        strictly lower-priority waiting session — returned to the caller,
+        which passes it to ``admission.shed`` outside its lock — or raises
         :class:`~repro.serving.errors.QueueFull` for the newcomer.  Running
         sessions are never shed by admission pressure (preemption in
         :meth:`plan` is the only path that pauses running work, and it keeps
@@ -515,26 +537,14 @@ class TokenScheduler:
                 f"session needs {item.slots} slots but the scheduler only has "
                 f"{self.total_slots}; raise decode_slots or lower beam_size"
             )
-        victim = None
-        if self.max_waiting is not None and len(self._waiting) >= self.max_waiting:
-            candidates = [s for s in self._waiting if s.priority < item.priority]
-            if not candidates:
-                raise QueueFull(
-                    f"generation queue is at its depth cap ({self.max_waiting} waiting "
-                    f"sessions); request rejected"
-                )
-            victim = max(candidates, key=self._urgency)
+        victim = self.admission.victim(item, len(self._waiting), self._waiting, self._urgency)
+        if victim is not None:
             self._waiting.remove(victim)
         self._waiting.append(item)
         return victim
 
-    def on_finished(self, item) -> None:
-        """Release a completed (or failed) running session's slots."""
-        if item in self._running:
-            self._running.remove(item)
-
     def discard(self, item) -> None:
-        """Drop a session wherever it currently sits (cancellation path)."""
+        """Drop a session wherever it sits: finished, failed, or cancelled."""
         if item in self._waiting:
             self._waiting.remove(item)
         if item in self._running:

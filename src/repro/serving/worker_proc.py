@@ -1,4 +1,11 @@
-"""Worker-process entrypoint for ``ServingEngine(worker_mode="process")``.
+"""The engine's worker protocol, its two workers, and the worker-process entrypoint.
+
+``ServingEngine`` drives every slot through one protocol — ``await_ready``,
+``run(batch)``, ``alive``, ``died_idle``, ``kill``, ``reap``, ``shutdown``,
+plus ``ready`` and ``init_failed`` — with one dispatcher loop and one
+supervisor.  :class:`ThreadWorker` runs the batch on the calling engine
+thread, so most of these do nothing; :class:`ProcessWorker` ships it to a
+child process.  :func:`forward_batch` is the one model call of both.
 
 A worker process is deliberately dumb: it builds one model replica from a
 :class:`WorkerSpec`, announces readiness, then answers ``forward`` messages
@@ -30,6 +37,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
@@ -37,9 +46,10 @@ from typing import Any, Callable, Optional, Union
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
+from repro.serving import faults
 from repro.serving.ipc import Channel, WorkerProcessDied, wrap_exception
 
-__all__ = ["WorkerSpec", "forward_batch", "worker_main"]
+__all__ = ["WorkerSpec", "ThreadWorker", "ProcessWorker", "forward_batch", "worker_main"]
 
 
 def forward_batch(model, batch: np.ndarray) -> np.ndarray:
@@ -111,6 +121,208 @@ class WorkerSpec:
 
             install_plan_cache(model)
         return model
+
+
+class ThreadWorker:
+    """A worker that runs each batch on the engine thread driving it.
+
+    It shares the engine's address space, so it is always ready, has no
+    separate life to lose while idle, and has nothing to kill or reap.
+    """
+
+    ready = True
+    init_failed = False
+
+    def __init__(self, index: int, replica) -> None:
+        self.name = f"worker {index}"
+        self.replica = replica
+
+    def await_ready(self, stopped: Callable[[], bool]) -> bool:
+        return True
+
+    def run(self, batch: np.ndarray) -> np.ndarray:
+        return forward_batch(self.replica, batch)
+
+    def alive(self) -> bool:
+        return True
+
+    def died_idle(self) -> bool:
+        return False
+
+    def kill(self) -> None:
+        pass
+
+    def reap(self, timeout: float = 5.0) -> str:
+        return ""
+
+    def shutdown(self) -> None:
+        pass
+
+
+def _describe_exit(exitcode: Optional[int]) -> str:
+    if exitcode is None:
+        return "exit code unknown"
+    if exitcode < 0:
+        try:
+            name = signal.Signals(-exitcode).name
+        except ValueError:
+            name = f"signal {-exitcode}"
+        return f"killed by {name}"
+    return f"exit code {exitcode}"
+
+
+class ProcessWorker:
+    """A child process that builds its own replica and serves batches over a pipe.
+
+    The model lives only in the child.  A dead pipe raises
+    :class:`~repro.serving.ipc.WorkerProcessDied` (a ``BaseException``) from
+    :meth:`run` or :meth:`await_ready`, so the engine thread driving this
+    worker dies the way a crashed thread worker does, and the supervisor
+    cannot tell a process death from a thread death, by design.
+    """
+
+    def __init__(self, index: int, ctx, spec: WorkerSpec) -> None:
+        self.index = index
+        self.name = f"worker process {index}"
+        self.ready = False
+        self.init_failed = False
+        self.exitcode: Optional[int] = None
+        self._ready_info: dict = {}
+        self._seq = 0
+        #: close() and the slot's own thread may reap the same child at once
+        self._reap_lock = threading.Lock()
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        self._proc = ctx.Process(
+            target=worker_main,
+            args=(child_conn, spec),
+            name=f"repro-serving-proc-{index}",
+            daemon=True,
+        )
+        self._proc.start()
+        # close the parent's copy of the child end: the child's death must
+        # surface as EOF on our end, which it cannot while we hold this open
+        child_conn.close()
+        self._channel = Channel(parent_conn)
+
+    def await_ready(self, stopped: Callable[[], bool]) -> bool:
+        """Block until the child reports ready; False if ``stopped()`` comes first.
+
+        A child that cannot build its replica reports ``init_error``: that
+        sets :attr:`init_failed` (restarting cannot fix it) and raises
+        :class:`~repro.serving.ipc.WorkerProcessDied` chained from the
+        child's exception.
+        """
+        while not stopped():
+            if not self._channel.poll(0.1):
+                continue
+            kind, _seq, payload = self._channel.recv()
+            if kind == "ready":
+                self.ready = True
+                self._ready_info = payload if isinstance(payload, dict) else {}
+                return True
+            if kind == "init_error":
+                self.init_failed = True
+                raise WorkerProcessDied(f"{self.name} failed to build its replica") from payload
+            # unknown handshake frames are ignored
+        return False
+
+    def run(self, batch: np.ndarray) -> np.ndarray:
+        """One batch round trip to the child; returns its output array.
+
+        The ``ipc.roundtrip`` fault site fires here with ``kill=`` wired to
+        SIGKILL the child, so an injected hard death is observed the way a
+        real one is: the pipe reaches EOF and ``WorkerProcessDied`` is
+        raised.  An ordinary exception from the child re-raises here and
+        stays scoped to the batch.
+        """
+        proc = self._proc
+        faults.fire(
+            "ipc.roundtrip",
+            worker=self.index,
+            kill=self.kill,
+            pid=proc.pid if proc is not None else None,
+        )
+        self._seq += 1
+        self._channel.send("forward", self._seq, batch)
+        while True:
+            kind, seq, payload = self._channel.recv()
+            if seq != self._seq:
+                continue  # stale frame from a superseded round trip
+            if kind == "result":
+                output, _child_forward_s = payload
+                return np.asarray(output)
+            if kind == "error":
+                raise payload
+            raise WorkerProcessDied(f"unexpected IPC reply kind {kind!r}")
+
+    def alive(self) -> bool:
+        proc = self._proc
+        return proc is not None and proc.is_alive()
+
+    def died_idle(self) -> bool:
+        """True once a child that was serving has exited.
+
+        The engine asks only while no batch is in flight: then no round trip
+        trips over the EOF, and its thread would wait on the scheduler forever.
+        """
+        proc = self._proc
+        return self.ready and proc is not None and proc.exitcode is not None
+
+    def kill(self) -> None:
+        """SIGKILL the child — the hard-death handle the ``kill`` fault calls."""
+        proc = self._proc
+        if proc is not None and proc.pid is not None:
+            try:
+                os.kill(proc.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                pass
+
+    def reap(self, timeout: float = 5.0) -> str:
+        """Ensure the child is dead *and* waited on (never a zombie); say how it ended.
+
+        Escalates join → terminate → kill, then releases the process object.
+        Idempotent and thread-safe: after the first reap only
+        :attr:`exitcode` remains.
+        """
+        with self._reap_lock:
+            proc = self._proc
+            if proc is None:
+                return _describe_exit(self.exitcode)
+            self._channel.close()
+            proc.join(timeout)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(5.0)
+            self.exitcode = proc.exitcode
+            self._proc = None
+            try:
+                proc.close()
+            except Exception:
+                pass
+            return _describe_exit(self.exitcode)
+
+    def shutdown(self) -> None:
+        """Graceful drain-side shutdown: ask nicely, then reap regardless."""
+        try:
+            self._channel.send("shutdown")
+        except WorkerProcessDied:
+            pass
+        self.reap()
+
+    def info(self) -> dict:
+        """This worker's entry in the engine's ``stats["process_workers"]``."""
+        proc = self._proc
+        return {
+            "index": self.index,
+            "pid": self._ready_info.get("pid", proc.pid if proc else None),
+            "alive": self.alive(),
+            "ready": self.ready,
+            "exitcode": self.exitcode,
+            "mapped_files": self._ready_info.get("mapped_files"),
+        }
 
 
 def _mapped_files() -> int:

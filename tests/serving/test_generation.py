@@ -17,6 +17,8 @@ from repro.serving import (
     DeadlineExceeded,
     GenerationRequest,
     GenerationStream,
+    QueueFull,
+    RequestShed,
     ServingEngine,
     SubmitOptions,
     TokenScheduler,
@@ -318,3 +320,93 @@ class TestTokenScheduler:
         scheduler.add(stale)
         admitted, _, expired = scheduler.plan(2.0)
         assert expired == [stale] and not admitted
+
+
+def _wait_running(engine, timeout=30.0):
+    """Block until the generation driver has run its first prefill tick."""
+    deadline = time.monotonic() + timeout
+    while engine.stats["generation"]["prefill_steps"] < 1:
+        assert time.monotonic() < deadline, "the first generation never started"
+        time.sleep(0.005)
+
+
+class TestGenerationQueueCap:
+    """generate() follows the engine's one admission rule (max_queue_depth, shed_policy)."""
+
+    @pytest.mark.parametrize("policy, newcomer_priority", [("reject", 1), ("priority", 0)])
+    def test_newcomer_rejected_and_waiter_served(self, policy, newcomer_priority):
+        model = slow_lm()
+        waiter_prompt = np.array([7, 8])
+        ref_waiter = model.generate(waiter_prompt, max_new_tokens=3)
+        with ServingEngine(
+            model, plan_cache=False, decode_slots=1, max_queue_depth=1, shed_policy=policy
+        ) as engine:
+            running = engine.generate(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=20))
+            _wait_running(engine)
+            waiter = engine.generate(waiter_prompt, GenerationRequest(max_new_tokens=3))
+            with pytest.raises(QueueFull, match="depth cap"):
+                engine.generate(
+                    np.array([4, 5]),
+                    GenerationRequest(max_new_tokens=3, priority=newcomer_priority),
+                )
+            np.testing.assert_array_equal(waiter.result(timeout=120), ref_waiter)
+            running.result(timeout=120)
+            stats = engine.stats
+        assert stats["rejected_requests"] == 1
+        assert stats["shed_requests"] == 0
+
+    def test_priority_policy_sheds_the_lower_priority_waiter(self):
+        model = slow_lm()
+        vip_prompt = np.array([4, 5])
+        ref_vip = model.generate(vip_prompt, max_new_tokens=3)
+        with ServingEngine(
+            model, plan_cache=False, decode_slots=1, max_queue_depth=1, shed_policy="priority"
+        ) as engine:
+            running = engine.generate(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=20))
+            _wait_running(engine)
+            low = engine.generate(np.array([7, 8]), GenerationRequest(max_new_tokens=3))
+            vip = engine.generate(vip_prompt, GenerationRequest(max_new_tokens=3, priority=1))
+            with pytest.raises(RequestShed, match="shed"):
+                low.result(timeout=30)
+            np.testing.assert_array_equal(vip.result(timeout=120), ref_vip)
+            running.result(timeout=120)
+            stats = engine.stats
+        assert stats["shed_requests"] == 1
+        assert stats["generation"]["shed"] == 1
+        assert stats["rejected_requests"] == 0
+
+
+class TestGenerationCancellation:
+    """A cancelled generate() future gives its decode rows back at the next tick."""
+
+    def test_cancelled_waiting_generation_is_never_decoded(self):
+        model = slow_lm()
+        first_prompt, next_prompt = np.array([1, 2, 3]), np.array([4, 5])
+        ref_first = model.generate(first_prompt, max_new_tokens=10)
+        ref_next = model.generate(next_prompt, max_new_tokens=2)
+        with ServingEngine(model, plan_cache=False, decode_slots=1) as engine:
+            first = engine.generate(first_prompt, GenerationRequest(max_new_tokens=10))
+            doomed = engine.generate(np.array([7, 8]), GenerationRequest(max_new_tokens=30))
+            assert doomed.cancel()
+            nxt = engine.generate(next_prompt, GenerationRequest(max_new_tokens=2))
+            np.testing.assert_array_equal(first.result(timeout=120), ref_first)
+            np.testing.assert_array_equal(nxt.result(timeout=120), ref_next)
+            stats = engine.stats["generation"]
+        assert doomed.cancelled()
+        assert stats["sequences"] == 2
+        assert stats["generated_tokens"] == 12  # the cancelled 30-token budget is not decoded
+
+    def test_cancelled_running_generation_releases_its_slot(self):
+        model = slow_lm()
+        next_prompt = np.array([4, 5])
+        ref_next = model.generate(next_prompt, max_new_tokens=2)
+        with ServingEngine(model, plan_cache=False, decode_slots=1) as engine:
+            doomed = engine.generate(np.array([7, 8]), GenerationRequest(max_new_tokens=40))
+            _wait_running(engine)
+            assert doomed.cancel()
+            nxt = engine.generate(next_prompt, GenerationRequest(max_new_tokens=2))
+            np.testing.assert_array_equal(nxt.result(timeout=120), ref_next)
+            stats = engine.stats["generation"]
+        assert doomed.cancelled()
+        assert stats["sequences"] == 1
+        assert stats["generated_tokens"] < 40  # decoding stopped well short of the budget

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serving.scheduler import (
+    Admission,
     ContinuousScheduler,
     DeadlineExceeded,
     Request,
@@ -186,3 +187,21 @@ class TestClose:
             ContinuousScheduler(max_batch_size=0, max_wait_s=0.0)
         with pytest.raises(ValueError, match="max_wait_s"):
             ContinuousScheduler(max_batch_size=1, max_wait_s=-1.0)
+
+
+class TestAdmission:
+    def test_queue_is_walked_only_at_the_cap(self):
+        def untouchable():
+            raise AssertionError("the waiting queue was walked below the cap")
+            yield
+
+        admission = Admission(max_depth=2, shed_policy="priority")
+        assert admission.victim(_request(priority=5), 1, untouchable(), Request.urgency) is None
+        low, high = _request(priority=0), _request(priority=1)
+        assert admission.victim(_request(priority=5), 2, [high, low], Request.urgency) is low
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="max_queue_depth"):
+            Admission(max_depth=0)
+        with pytest.raises(ValueError, match="shed_policy"):
+            Admission(shed_policy="lifo")
