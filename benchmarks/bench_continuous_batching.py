@@ -10,8 +10,9 @@ The serving hot-path optimisations of PR 5:
    its groups run; per-key buckets keep every forward full and admit new
    arrivals into the next forward of the in-flight stream.
 2. **Multi-worker over one shared mmap checkpoint** — ``workers=4`` replicas
-   loaded with ``share_views=True`` must beat ``workers=1``, with the mapped
-   checkpoint bytes counted exactly once across the whole fleet.
+   loaded with ``mmap=True`` (one shared file mapping) must beat
+   ``workers=1``, with the mapped checkpoint bytes counted exactly once
+   across the whole fleet.
 3. **Cross-layer pipelined prefetch** — ``prefetch="pipeline"`` on a
    6-layer streaming model: layer k+1's first blocks decode while layer k
    finishes, and the shared pool decodes blocks in parallel.  Its forward

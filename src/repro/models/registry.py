@@ -282,10 +282,9 @@ def list_specs(
 
 def _split(dataset: ArrayDataset, eval_samples: int) -> tuple:
     n = len(dataset)
-    eval_samples = min(eval_samples, n // 3)
-    train = ArrayDataset(dataset.inputs[: n - eval_samples], dataset.targets[: n - eval_samples])
-    evald = ArrayDataset(dataset.inputs[n - eval_samples :], dataset.targets[n - eval_samples :])
-    return train, evald
+    cut = n - min(eval_samples, n // 3)
+    # indexing slices extras (e.g. the LM grammar's transition matrix) with the rows
+    return ArrayDataset(*dataset[:cut]), ArrayDataset(*dataset[cut:])
 
 
 def build_task(name: str, cache=None, force_retrain: bool = False) -> TaskBundle:

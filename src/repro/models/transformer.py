@@ -10,7 +10,7 @@ quantization scheme can cover them.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -21,17 +21,13 @@ from repro.utils.seeding import RngLike, seeded_rng
 __all__ = [
     "TransformerEncoderLayer",
     "BertStyleClassifier",
+    "DecodeSearch",
     "DecodeState",
     "GPTStyleLM",
     "ViTStyleClassifier",
     "coerce_prompt",
+    "ragged_step",
 ]
-
-
-def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    """Numerically-stable log-softmax over a 1D logits vector."""
-    shifted = logits - logits.max()
-    return shifted - np.log(np.sum(np.exp(shifted)))
 
 
 def coerce_prompt(prompt, max_seq_len: int) -> np.ndarray:
@@ -87,10 +83,6 @@ class DecodeState:
         """Valid cached tokens per row (identical across layers)."""
         return self.caches[0].lengths
 
-    def copy_rows(self, src, dst) -> None:
-        for cache in self.caches:
-            cache.copy_rows(src, dst)
-
     def permute_rows(self, rows, parents) -> None:
         for cache in self.caches:
             cache.permute_rows(rows, parents)
@@ -107,6 +99,99 @@ class DecodeState:
     def row_nbytes(self) -> int:
         """Bytes of cache storage one row slot costs (full capacity)."""
         return self.nbytes // max(1, self.rows)
+
+
+def ragged_step(model, state: DecodeState, rows: np.ndarray, inputs) -> np.ndarray:
+    """One padded ``forward_step`` over per-row token lists; each row's last logits.
+
+    ``inputs[i]`` holds the new tokens of cache row ``rows[i]``, so prompt
+    replays and single-token decode steps ride one call.  Returns
+    ``(len(inputs), vocab)`` logits, row ``i`` taken at its last new token.
+    """
+    new_lens = np.asarray([len(ids) for ids in inputs], dtype=np.int64)
+    tokens = np.zeros((len(inputs), int(new_lens.max())), dtype=np.int64)
+    for i, ids in enumerate(inputs):
+        tokens[i, : len(ids)] = ids
+    logits = model.forward_step(tokens, state, rows=rows, new_lens=new_lens).data
+    return logits[np.arange(len(inputs)), new_lens - 1]
+
+
+class DecodeSearch:
+    """Greedy (``beam_size=1``) or beam search over the continuation of one prompt.
+
+    The one search behind ``GPTStyleLM.generate(use_cache=True)`` and the
+    serving engine's generation tier: the caller owns the cache rows (one per
+    beam) and runs each step through :func:`ragged_step`; the search says
+    what every row feeds and keeps what it decoded.  ``suffixes``, ``scores``
+    and ``done`` survive a preemption, so a restore that replays
+    ``prompt + suffix`` per row lands exactly where the search left off.
+    """
+
+    def __init__(
+        self,
+        prompt: np.ndarray,
+        max_new_tokens: int,
+        beam_size: int = 1,
+        eos_token: Optional[int] = None,
+    ) -> None:
+        self.prompt = prompt
+        self.max_new_tokens = int(max_new_tokens)
+        self.width = max(1, int(beam_size))
+        self.eos_token = eos_token
+        self.suffixes: List[List[int]] = [[] for _ in range(self.width)]
+        self.scores: List[float] = [0.0] * self.width
+        self.done: List[bool] = [self.max_new_tokens <= 0] * self.width
+
+    @property
+    def finished(self) -> bool:
+        return all(self.done)
+
+    def step_inputs(self, prefill: bool) -> List[List[int]]:
+        """Token ids each row feeds next: ``prompt + suffix`` on a prefill
+        (fresh or restore), else the row's last decoded token."""
+        if prefill:
+            prompt = self.prompt.tolist()
+            return [prompt + suffix for suffix in self.suffixes]
+        return [[suffix[-1]] for suffix in self.suffixes]
+
+    def advance(self, logits: np.ndarray, state: DecodeState, rows: np.ndarray) -> None:
+        """Consume one step's last-position logits, one vector per beam row.
+
+        Greedy appends the argmax.  Beam search expands row 0 alone on its
+        first step (every row holds the same prompt), then every live row;
+        the best ``width`` candidates survive and ``rows`` of ``state`` are
+        permuted to follow their parents.  A row is done on EOS, or once it
+        cannot take another step within ``max_new_tokens`` and the cache's
+        ``max_seq_len``.
+        """
+        if self.width == 1:
+            # the argmax of the raw logits, as the full-recompute oracle takes it
+            chosen = [(0.0, 0, int(np.argmax(logits[0])))]
+        else:
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+            candidates = []  # (score, parent, token-or-None)
+            for b in range(self.width if self.suffixes[0] else 1):
+                if self.done[b]:
+                    candidates.append((self.scores[b], b, None))
+                    continue
+                for token in np.argsort(logp[b])[-self.width :]:
+                    candidates.append((self.scores[b] + float(logp[b, token]), b, int(token)))
+            candidates.sort(key=lambda item: item[0], reverse=True)
+            chosen = candidates[: self.width]
+            state.permute_rows(rows, [parent for _, parent, _ in chosen])
+        limit = min(self.max_new_tokens, state.max_seq_len - self.prompt.size)
+        self.suffixes = [self.suffixes[p] + ([] if t is None else [t]) for _, p, t in chosen]
+        self.scores = [score for score, _, _ in chosen]
+        self.done = [
+            t is None or t == self.eos_token or len(suffix) >= limit
+            for (_, _, t), suffix in zip(chosen, self.suffixes)
+        ]
+
+    def best(self) -> np.ndarray:
+        """The prompt followed by the highest-scoring row's continuation."""
+        suffix = self.suffixes[int(np.argmax(self.scores))]
+        return np.concatenate([self.prompt, np.asarray(suffix, dtype=np.int64)])
 
 
 class TransformerEncoderLayer(nn.Module):
@@ -353,11 +438,15 @@ class GPTStyleLM(nn.Module):
         with no_grad():
             if not use_cache:
                 return self._generate_full_recompute(prompt, max_new_tokens, beam_size, eos_token)
-            if beam_size <= 1:
-                return self._generate_greedy_cached(prompt, max_new_tokens, kv_cache, eos_token)
-            return self._generate_beam_cached(
-                prompt, max_new_tokens, beam_size, kv_cache, eos_token
-            )
+            search = DecodeSearch(prompt, max_new_tokens, beam_size, eos_token)
+            state = self.new_decode_state(search.width, storage=kv_cache)
+            rows = np.arange(search.width)
+            prefill = True
+            while not search.finished:
+                logits = ragged_step(self, state, rows, search.step_inputs(prefill))
+                search.advance(logits, state, rows)
+                prefill = False
+            return search.best()
 
     def _generate_full_recompute(
         self,
@@ -398,71 +487,6 @@ class GPTStyleLM(nn.Module):
             if all(done for _, _, done in beams):
                 break
         return beams[0][0]
-
-    def _generate_greedy_cached(
-        self,
-        prompt: np.ndarray,
-        max_new_tokens: int,
-        kv_cache: str,
-        eos_token: Optional[int],
-    ) -> np.ndarray:
-        state = self.new_decode_state(1, storage=kv_cache)
-        seq = prompt.copy()
-        logits = self.forward_step(seq[None, :], state).data[0, -1]
-        for _ in range(max_new_tokens):
-            token = int(np.argmax(logits))
-            seq = np.append(seq, token)
-            if eos_token is not None and token == eos_token:
-                break
-            if seq.size >= self.max_seq_len or seq.size - prompt.size >= max_new_tokens:
-                break
-            logits = self.forward_step(np.array([[token]], dtype=np.int64), state).data[0, -1]
-        return seq
-
-    def _generate_beam_cached(
-        self,
-        prompt: np.ndarray,
-        max_new_tokens: int,
-        beam_size: int,
-        kv_cache: str,
-        eos_token: Optional[int],
-    ) -> np.ndarray:
-        state = self.new_decode_state(beam_size, storage=kv_cache)
-        tiled = np.tile(prompt[None, :], (beam_size, 1))
-        logits = self.forward_step(tiled, state).data[:, -1]
-        logp0 = _log_softmax_np(logits[0])
-        seeds = np.argsort(logp0)[-beam_size:]
-        suffixes = [[int(t)] for t in seeds]
-        scores = [float(logp0[t]) for t in seeds]
-        done = [eos_token is not None and int(t) == eos_token for t in seeds]
-        for _ in range(max_new_tokens - 1):
-            if all(done):
-                break
-            last = np.array([[suffix[-1]] for suffix in suffixes], dtype=np.int64)
-            logits = self.forward_step(last, state).data[:, -1]
-            candidates = []  # (score, parent, token-or-None)
-            for b in range(beam_size):
-                if done[b]:
-                    candidates.append((scores[b], b, None))
-                    continue
-                logp = _log_softmax_np(logits[b])
-                for token in np.argsort(logp)[-beam_size:]:
-                    candidates.append((scores[b] + float(logp[token]), b, int(token)))
-            candidates.sort(key=lambda item: item[0], reverse=True)
-            chosen = candidates[:beam_size]
-            parents = [parent for _, parent, _ in chosen]
-            state.permute_rows(np.arange(beam_size), parents)
-            suffixes = [
-                suffixes[parent] + ([] if token is None else [token])
-                for _, parent, token in chosen
-            ]
-            scores = [score for score, _, _ in chosen]
-            done = [
-                token is None or (eos_token is not None and token == eos_token)
-                for _, _, token in chosen
-            ]
-        best = int(np.argmax(scores))
-        return np.concatenate([prompt, np.asarray(suffixes[best], dtype=np.int64)])
 
 
 class ViTStyleClassifier(nn.Module):

@@ -188,14 +188,6 @@ class KVCache:
             return (self._k, self._v)
         return (self._k_codes, self._v_codes, self._k_scale, self._v_scale)
 
-    def copy_rows(self, src, dst) -> None:
-        """Copy whole rows ``src`` onto rows ``dst`` (beam expansion)."""
-        src = self._resolve_rows(src)
-        dst = self._resolve_rows(dst)
-        for array in self._arrays():
-            array[dst] = array[src]
-        self.lengths[dst] = self.lengths[src]
-
     def permute_rows(self, rows, parents) -> None:
         """Reassign ``rows[i] <- rows[parents[i]]`` (beam reordering).
 

@@ -334,9 +334,9 @@ def resident_report(model: Union[Module, Sequence[Module]]) -> dict:
 
     ``model`` may also be a sequence of modules — e.g. serving-engine
     replicas.  Deduplication then spans the whole fleet: replicas loaded with
-    ``load_quantized(..., mmap=True, share_views=True)`` alias one file
-    mapping, so their shared checkpoint bytes are counted exactly once while
-    ``fp32_bytes`` still sums every replica's dense cost.
+    ``load_quantized(..., mmap=True)`` alias one file mapping, so their
+    shared checkpoint bytes are counted exactly once while ``fp32_bytes``
+    still sums every replica's dense cost.
     """
     models = list(model) if isinstance(model, (list, tuple)) else [model]
     storages = {}

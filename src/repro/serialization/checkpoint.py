@@ -120,9 +120,9 @@ def _check_meta(meta: dict, path: str) -> dict:
 
 
 def _validated_meta(
-    path: str, mmap: bool = False, share_views: bool = False, verify: bool = True
+    path: str, mmap: bool = False, verify: bool = True
 ) -> Tuple[Dict[str, np.ndarray], dict]:
-    arrays, meta = read_container(path, mmap=mmap, share_views=share_views, verify=verify)
+    arrays, meta = read_container(path, mmap=mmap, verify=verify)
     return arrays, _check_meta(meta, path)
 
 
@@ -150,7 +150,6 @@ def load_quantized(
     serving_mode: Optional[str] = None,
     strict: bool = True,
     mmap: bool = False,
-    share_views: bool = False,
     verify: bool = True,
 ) -> Module:
     """Rebuild a converted model from a packed checkpoint — float32-free.
@@ -170,14 +169,12 @@ def load_quantized(
     statistics, calibration snapshots) are still copied into the model's own
     storage; only the dominant packed payloads stay mapped.
     :func:`repro.quantization.workflow.resident_report` counts those mapped
-    bytes separately from materialised resident bytes.
-
-    ``share_views=True`` (requires ``mmap=True``) makes repeated loads of the
-    same checkpoint alias **one** process-wide file mapping instead of
-    mapping the file per load — the multi-worker serving pattern, where N
-    replica models share a single read-only mmap'd checkpoint and the packed
-    bytes on disk are mapped exactly once per process
-    (``resident_report([replica, ...])`` then counts them once too).
+    bytes separately from materialised resident bytes.  Repeated mmap loads
+    of the same checkpoint alias **one** process-wide file mapping — the
+    multi-worker serving pattern, where N replica models share a single
+    read-only mmap'd checkpoint and the packed bytes on disk are mapped
+    exactly once per process (``resident_report([replica, ...])`` then
+    counts them once too).
 
     ``verify=True`` (default) enforces the container's per-span integrity
     digests: copied loads raise
@@ -186,9 +183,7 @@ def load_quantized(
     decode touch of a view into it.  Version-1 checkpoints (no digests) load
     unchanged.
     """
-    if share_views and not mmap:
-        raise ValueError("share_views=True requires mmap=True")
-    arrays, meta = _validated_meta(path, mmap=mmap, share_views=share_views, verify=verify)
+    arrays, meta = _validated_meta(path, mmap=mmap, verify=verify)
     state = unflatten_state(meta["state"], arrays)
 
     model = model_factory()

@@ -131,9 +131,9 @@ def _shared_mapping(path: str) -> np.memmap:
     """One read-only mapping per (file identity, version), reused across loads.
 
     This is what makes N serving replicas of one checkpoint cost the file's
-    bytes once: every ``read_container(..., mmap=True, share_views=True)``
-    call for the same on-disk file returns views over the *same* ``np.memmap``
-    object, so the kernel backs them all with one set of page-cache pages and
+    bytes once: every ``read_container(..., mmap=True)`` call for the same
+    on-disk file returns views over the *same* ``np.memmap`` object, so the
+    kernel backs them all with one set of page-cache pages and
     ``resident_report`` (which deduplicates by storage base) counts the
     mapping exactly once.  A file that changed size or mtime gets a fresh
     mapping, and its stale predecessors are dropped from the cache (the
@@ -360,7 +360,7 @@ def read_header(path: str) -> dict:
 
 
 def read_container(
-    path: str, mmap: bool = False, share_views: bool = False, verify: bool = True
+    path: str, mmap: bool = False, verify: bool = True
 ) -> Tuple[Dict[str, np.ndarray], dict]:
     """Read a checkpoint back into (arrays, meta).
 
@@ -370,7 +370,7 @@ def read_container(
     written as).
 
     With ``mmap=True`` no payload byte is copied at all: the file is mapped
-    once (read-only) and every array comes back as a zero-copy view into the
+    (read-only) and every array comes back as a zero-copy view into the
     mapping — the 64-byte span alignment guarantees every view is itself
     aligned.  Pages are faulted in by the kernel on first touch, so the read
     is O(header) and cold resident bytes stay near zero until an array is
@@ -379,12 +379,11 @@ def read_container(
     identical to the copied path: a corrupt offset table raises
     :class:`CheckpointError` before any view is built.
 
-    ``share_views=True`` (requires ``mmap=True``) additionally reuses one
-    process-wide mapping per on-disk file: repeated reads of the same
-    checkpoint — e.g. loading N serving replicas — alias the same
-    ``np.memmap`` object instead of mapping the file N times, so the packed
-    bytes are mapped exactly once per process (see :func:`_shared_mapping`
-    and :func:`clear_mapping_cache`).
+    The mapping is one process-wide object per on-disk file: repeated reads
+    of the same checkpoint — e.g. loading N serving replicas — alias the same
+    ``np.memmap`` instead of mapping the file N times, so the packed bytes
+    are mapped exactly once per process (see :func:`_shared_mapping` and
+    :func:`clear_mapping_cache`).
 
     ``verify=True`` (default) enforces the version-2 per-span digests:
     copied spans are checksummed eagerly as they are read
@@ -392,8 +391,6 @@ def read_container(
     verification on first touch (see the module docstring).  Version-1 files
     have no digests and are returned unchanged either way.
     """
-    if share_views and not mmap:
-        raise ValueError("share_views=True requires mmap=True")
     with open(path, "rb") as fh:
         header, payload_start = _read_header(fh, path)
         fh.seek(0, 2)
@@ -401,11 +398,7 @@ def read_container(
         spans = _validated_spans(header, payload_start, file_size, path)
         arrays: Dict[str, np.ndarray] = {}
         if mmap:
-            mapping = (
-                _shared_mapping(path)
-                if share_views
-                else np.memmap(path, dtype=np.uint8, mode="r")
-            )
+            mapping = _shared_mapping(path)
             for name, dtype, shape, nbytes, start, _ in spans:
                 view = mapping[start : start + nbytes].view(dtype).reshape(shape)
                 arrays[name] = view

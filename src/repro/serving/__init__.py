@@ -33,9 +33,9 @@ streaming serving modes:
   (``set_serving_mode(model, "streaming", prefetch="pipeline")``).
 
 Pair with ``load_quantized(..., mmap=True)`` for the cold-start half;
-``share_views=True`` lets multi-worker replicas alias one file mapping.
-``ServingEngine.from_checkpoint(..., workers=N)`` wires mmap load, shared
-views, serving mode, prefetch and the engine in one call.
+multi-worker replicas of one checkpoint alias one file mapping.
+``ServingEngine.from_checkpoint(..., workers=N)`` wires mmap load, serving
+mode, prefetch and the engine in one call.
 
 Failure behaviour is part of the API: :mod:`repro.serving.errors` is the
 typed exception taxonomy (:class:`~repro.serving.errors.ServingError` and

@@ -29,9 +29,9 @@ Multi-worker execution
 ``workers=N`` runs N driver threads.  Pass a sequence of model replicas (one
 per worker) to give every worker its own module tree — the intended pattern
 is replicas that share one read-only mmap'd checkpoint via
-``load_quantized(..., mmap=True, share_views=True)``, so the packed bytes on
-disk are mapped exactly once per process no matter how many replicas serve
-them (:meth:`ServingEngine.from_checkpoint` wires this).  With a single model
+``load_quantized(..., mmap=True)``, so the packed bytes on disk are mapped
+exactly once per process no matter how many replicas serve them
+(:meth:`ServingEngine.from_checkpoint` wires this).  With a single model
 and ``workers>1`` every worker shares it; that is safe for the lock-free
 streaming kernels (blocked Linear matmul, Embedding gather-decode — they only
 read ``weight_q``) but not for wrappers that rebind transient weight caches
@@ -127,21 +127,17 @@ from repro.serving.errors import (
     WorkerCrashed,
 )
 from repro.serving.generation import GenerationDriver, GenerationStream
-from repro.serving.scheduler import Admission, ContinuousScheduler, Request, compat_key
+from repro.serving.scheduler import (
+    _STATS_WINDOW,
+    Admission,
+    ContinuousScheduler,
+    Request,
+    _percentiles_ms,
+    compat_key,
+)
 from repro.serving.worker_proc import ProcessWorker, ThreadWorker, WorkerSpec
 
 __all__ = ["ServingEngine"]
-
-#: how many recent samples the latency/occupancy reservoirs keep
-_STATS_WINDOW = 2048
-
-
-def _percentiles_ms(values: Sequence[float]) -> tuple:
-    if not values:
-        return 0.0, 0.0
-    p50, p95 = np.percentile(np.asarray(values, dtype=np.float64), [50.0, 95.0])
-    return float(p50) * 1e3, float(p95) * 1e3
-
 
 class _WorkerSlot:
     """One worker, the engine thread that drives it, and the state its supervisor reads.
@@ -457,13 +453,12 @@ class ServingEngine:
 
         ``worker_mode="thread"`` (default) loads ``workers`` replicas of the
         packed checkpoint zero-copy (codes paged on first touch; with
-        ``workers > 1`` and ``mmap=True`` the replicas share **one** file
-        mapping via ``share_views=True``, so the packed bytes are mapped
-        exactly once per process), puts every wrapper into ``serving_mode``
-        with the requested block size and prefetch setting (the default
-        ``prefetch="pipeline"`` enables cross-layer pipelined block decode,
-        ``False`` decodes inline), and returns a running engine with one
-        worker per replica.
+        ``mmap=True`` the replicas share **one** file mapping, so the packed
+        bytes are mapped exactly once per process), puts every wrapper into
+        ``serving_mode`` with the requested block size and prefetch setting
+        (the default ``prefetch="pipeline"`` enables cross-layer pipelined
+        block decode, ``False`` decodes inline), and returns a running engine
+        with one worker per replica.
 
         ``worker_mode="process"`` instead ships the *checkpoint path* to
         ``workers`` worker processes: each child re-runs
@@ -508,9 +503,7 @@ class ServingEngine:
             )
         replicas = []
         for _ in range(workers):
-            replica = load_quantized(
-                path, model_factory, mmap=mmap, share_views=bool(mmap) and workers > 1
-            )
+            replica = load_quantized(path, model_factory, mmap=mmap)
             set_serving_mode(
                 replica, serving_mode, block_channels=block_channels, prefetch=prefetch
             )

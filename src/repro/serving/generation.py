@@ -7,10 +7,11 @@ needs batching *per decode step*.  This module adds that tier:
   (:class:`~repro.models.transformer.DecodeState`) per storage kind, with
   explicit row allocation so many requests multiplex one cache;
 * :class:`GenerationSession` — the unit the :class:`TokenScheduler` schedules:
-  a prompt, its :class:`~repro.serving.api.GenerationRequest`, the beams'
-  decoded suffixes, and the cache rows it currently occupies (preemption drops
-  the rows but keeps the suffixes — a restore replays prompt+suffix as one
-  ragged prefill, which lands it exactly where it left off);
+  a :class:`~repro.serving.api.GenerationRequest`, its
+  :class:`~repro.models.transformer.DecodeSearch`, and the cache rows it
+  currently occupies (preemption drops the rows but keeps the search — a
+  restore replays prompt+suffix as one ragged prefill, which lands it exactly
+  where it left off);
 * :class:`GenerationStream` — queue-backed token iterator for
   ``GenerationRequest(stream=True)``;
 * :class:`GenerationDriver` — the single background thread that ticks:
@@ -21,10 +22,12 @@ needs batching *per decode step*.  This module adds that tier:
   kind.  New requests submitted while a tick's forward runs join the next
   tick — mid-decode admission with no drain barrier.
 
-The driver mirrors ``GPTStyleLM.generate``'s cached greedy/beam math
-operation-for-operation, so a lone request through the engine reproduces the
-model-level output token-for-token (float KV cache; dynamic-activation
-quantized models see co-batch-dependent scales — see the README notes).
+``GPTStyleLM.generate`` runs the same greedy/beam search
+(:class:`~repro.models.transformer.DecodeSearch`) through the same ragged
+step (:func:`~repro.models.transformer.ragged_step`), so a lone request
+through the engine reproduces the model-level output token-for-token
+(dynamic-activation quantized models see co-batch-dependent scales — see the
+README notes).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import itertools
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from typing import Dict, List, Optional
 
@@ -42,7 +46,13 @@ from repro.autograd.tensor import no_grad
 from repro.serving import faults
 from repro.serving.api import GenerationRequest
 from repro.serving.errors import EngineClosed, WorkerCrashed
-from repro.serving.scheduler import Admission, DeadlineExceeded, TokenScheduler
+from repro.serving.scheduler import (
+    _STATS_WINDOW,
+    Admission,
+    DeadlineExceeded,
+    TokenScheduler,
+    _percentiles_ms,
+)
 
 __all__ = [
     "DecodeStatePool",
@@ -50,11 +60,6 @@ __all__ = [
     "GenerationStream",
     "GenerationDriver",
 ]
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.sum(np.exp(shifted)))
 
 
 class DecodeStatePool:
@@ -92,10 +97,11 @@ class GenerationSession:
     """One in-flight generation request, schedulable by :class:`TokenScheduler`.
 
     Exposes the scheduler protocol (``slots``/``priority``/``order``/
-    ``deadline``/``submitted``) plus the decode bookkeeping: per-beam decoded
-    ``suffixes``/``scores``/``done`` flags survive preemption, while ``rows``
-    (the cache rows currently held) and ``needs_prefill`` describe the
-    session's tenancy in a :class:`DecodeStatePool`.
+    ``deadline``/``submitted``) plus the session's tenancy in a
+    :class:`DecodeStatePool`: ``rows`` (the cache rows currently held) and
+    ``needs_prefill``.  The decoding itself is ``search``, a
+    :class:`~repro.models.transformer.DecodeSearch` whose beams survive
+    preemption.
     """
 
     def __init__(
@@ -107,8 +113,12 @@ class GenerationSession:
         order: int,
         deadline: Optional[float],
     ) -> None:
-        self.prompt = prompt
-        self.request = request
+        # local import: repro.serving must stay importable without the model zoo
+        from repro.models.transformer import DecodeSearch
+
+        self.search = DecodeSearch(
+            prompt, request.max_new_tokens, request.beam_size, request.eos_token
+        )
         self.future = future
         self.stream = stream
         self.order = order
@@ -119,90 +129,11 @@ class GenerationSession:
         self.storage = request.kv_cache
         self.rows: Optional[np.ndarray] = None
         self.needs_prefill = True
-        self.seeded = False  # beam search: first step seeds from row 0's top-k
-        self.suffixes: List[List[int]] = [[] for _ in range(self.slots)]
-        self.scores: List[float] = [0.0] * self.slots
-        self.done: List[bool] = [False] * self.slots
         self.preemptions = 0
-        self.finished = False
-
-    # ------------------------------------------------------------------
-    # tick-side helpers (called by the driver)
-    # ------------------------------------------------------------------
-    def step_inputs(self) -> List[List[int]]:
-        """Token ids each of this session's rows feeds this tick.
-
-        A prefill (fresh or restore) replays ``prompt + suffix`` per beam row;
-        a decode step feeds each row's last emitted token.
-        """
-        prompt = self.prompt.tolist()
-        if self.needs_prefill:
-            return [prompt + suffix for suffix in self.suffixes]
-        return [[suffix[-1]] for suffix in self.suffixes]
-
-    def advance(self, last_logits: np.ndarray, state) -> None:
-        """Consume this tick's last-position logits (one vector per beam row).
-
-        Mirrors ``GPTStyleLM._generate_greedy_cached`` /
-        ``_generate_beam_cached`` exactly so engine output matches the
-        model-level reference token-for-token.
-        """
-        request = self.request
-        max_total = min(state.max_seq_len, self.prompt.size + request.max_new_tokens)
-        if request.beam_size == 1:
-            token = int(np.argmax(last_logits[0]))
-            self.suffixes[0].append(token)
-            if self.stream is not None:
-                self.stream._put_token(token)
-            hit_eos = request.eos_token is not None and token == request.eos_token
-            self.done[0] = hit_eos or self.prompt.size + len(self.suffixes[0]) >= max_total
-        elif not self.seeded:
-            logp0 = _log_softmax(last_logits[0])
-            seeds = np.argsort(logp0)[-request.beam_size :]
-            self.suffixes = [[int(t)] for t in seeds]
-            self.scores = [float(logp0[t]) for t in seeds]
-            self.done = [
-                request.eos_token is not None and int(t) == request.eos_token for t in seeds
-            ]
-            self.seeded = True
-        else:
-            candidates = []  # (score, parent, token-or-None)
-            for b in range(request.beam_size):
-                if self.done[b]:
-                    candidates.append((self.scores[b], b, None))
-                    continue
-                logp = _log_softmax(last_logits[b])
-                for token in np.argsort(logp)[-request.beam_size :]:
-                    candidates.append((self.scores[b] + float(logp[token]), b, int(token)))
-            candidates.sort(key=lambda item: item[0], reverse=True)
-            chosen = candidates[: request.beam_size]
-            parents = [parent for _, parent, _ in chosen]
-            state.permute_rows(self.rows, parents)
-            self.suffixes = [
-                self.suffixes[parent] + ([] if token is None else [token])
-                for _, parent, token in chosen
-            ]
-            self.scores = [score for score, _, _ in chosen]
-            self.done = [
-                token is None or (request.eos_token is not None and token == request.eos_token)
-                for _, _, token in chosen
-            ]
-        if request.beam_size > 1:
-            # a beam that cannot take another step (budget or cache capacity)
-            # is finished even without EOS
-            limit = max_total - self.prompt.size
-            self.done = [d or len(s) >= limit for d, s in zip(self.done, self.suffixes)]
-        self.needs_prefill = False
-        if all(self.done):
-            self.finished = True
-
-    def result_sequence(self) -> np.ndarray:
-        best = int(np.argmax(self.scores)) if self.request.beam_size > 1 else 0
-        return np.concatenate([self.prompt, np.asarray(self.suffixes[best], dtype=np.int64)])
 
     def resolve(self) -> None:
         """Deliver the finished sequence (outside the driver lock)."""
-        sequence = self.result_sequence()
+        sequence = self.search.best()
         if self.stream is not None:
             self.stream._finish(sequence)
         if self.future is not None and self.future.set_running_or_notify_cancel():
@@ -330,8 +261,8 @@ class GenerationDriver:
             "shed": 0,
             "tick_failures": 0,
         }
-        self._prefill_s: List[float] = []
-        self._decode_s: List[float] = []
+        self._prefill_s: deque = deque(maxlen=_STATS_WINDOW)
+        self._decode_s: deque = deque(maxlen=_STATS_WINDOW)
         self._busy_s = 0.0
 
     # ------------------------------------------------------------------
@@ -410,9 +341,8 @@ class GenerationDriver:
             )
             for name, samples in (("prefill", self._prefill_s), ("decode", self._decode_s)):
                 if samples:
-                    arr = np.asarray(samples)
-                    snapshot[f"{name}_p50_ms"] = float(np.percentile(arr, 50) * 1e3)
-                    snapshot[f"{name}_p95_ms"] = float(np.percentile(arr, 95) * 1e3)
+                    p50, p95 = _percentiles_ms(samples)
+                    snapshot[f"{name}_p50_ms"], snapshot[f"{name}_p95_ms"] = p50, p95
             return snapshot
 
     # ------------------------------------------------------------------
@@ -518,41 +448,33 @@ class GenerationDriver:
         sessions: List[GenerationSession],
         finished: List[GenerationSession],
     ) -> None:
+        # local import: repro.serving must stay importable without the model zoo
+        from repro.models.transformer import ragged_step
+
         pool = self._pool(storage)
-        inputs: List[List[int]] = []
-        row_ids: List[int] = []
-        spans: List[tuple] = []  # (session, batch offset)
-        any_prefill = False
-        for session in sessions:
-            any_prefill = any_prefill or session.needs_prefill
-            spans.append((session, len(row_ids)))
-            for row, tokens in zip(session.rows, session.step_inputs()):
-                row_ids.append(int(row))
-                inputs.append(tokens)
-        new_lens = np.asarray([len(tokens) for tokens in inputs], dtype=np.int64)
-        width = int(new_lens.max())
-        tokens = np.zeros((len(inputs), width), dtype=np.int64)
-        for i, ids in enumerate(inputs):
-            tokens[i, : len(ids)] = ids
+        rows = np.concatenate([session.rows for session in sessions])
+        inputs = [ids for s in sessions for ids in s.search.step_inputs(s.needs_prefill)]
+        prefill = any(session.needs_prefill for session in sessions)
         faults.fire("generation.tick", storage=storage, batch=len(inputs))
         start = time.perf_counter()
         with no_grad():
-            logits = self._model.forward_step(
-                tokens, pool.state, rows=np.asarray(row_ids, dtype=np.int64), new_lens=new_lens
-            ).data
+            last = ragged_step(self._model, pool.state, rows, inputs)
         elapsed = time.perf_counter() - start
-        last = logits[np.arange(len(inputs)), new_lens - 1]
         with self._cond:
             self._busy_s += elapsed
-            (self._prefill_s if any_prefill else self._decode_s).append(elapsed)
-            self._stats["prefill_steps" if any_prefill else "decode_steps"] += 1
-            for session, offset in spans:
-                before = sum(len(s) for s in session.suffixes)
-                session.advance(last[offset : offset + session.slots], pool.state)
-                self._stats["generated_tokens"] += max(
-                    0, sum(len(s) for s in session.suffixes) - before
-                )
-                if session.finished:
+            (self._prefill_s if prefill else self._decode_s).append(elapsed)
+            self._stats["prefill_steps" if prefill else "decode_steps"] += 1
+            offset = 0
+            for session in sessions:
+                search = session.search
+                before = sum(map(len, search.suffixes))
+                search.advance(last[offset : offset + session.slots], pool.state, session.rows)
+                offset += session.slots
+                session.needs_prefill = False
+                if session.stream is not None:
+                    session.stream._put_token(search.suffixes[0][-1])
+                self._stats["generated_tokens"] += max(0, sum(map(len, search.suffixes)) - before)
+                if search.finished:
                     self._drop_locked(session)
                     self._stats["sequences"] += 1
                     finished.append(session)

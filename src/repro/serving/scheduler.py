@@ -51,7 +51,7 @@ import math
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,18 @@ __all__ = [
 #: how far ahead of a deadline the admission window closes, so the forward
 #: can start before the deadline instead of expiring exactly on it
 _DEADLINE_GUARD_S = 0.002
+
+#: how many recent samples the engine's and the generation driver's
+#: latency/occupancy reservoirs keep
+_STATS_WINDOW = 2048
+
+
+def _percentiles_ms(values: Sequence[float]) -> tuple:
+    """(p50, p95) in milliseconds of a reservoir of durations in seconds."""
+    if not values:
+        return 0.0, 0.0
+    p50, p95 = np.percentile(np.asarray(values, dtype=np.float64), [50.0, 95.0])
+    return float(p50) * 1e3, float(p95) * 1e3
 
 
 def compat_key(sample: np.ndarray) -> Tuple:

@@ -96,15 +96,10 @@ class WorkerSpec:
             from repro.quantization.workflow import set_serving_mode
             from repro.serialization import load_quantized
 
-            # share_views routes the load through the inode-keyed mapping
-            # cache, so a worker process maps the checkpoint exactly once no
-            # matter how it is reloaded (and reports it in the ready payload)
-            model = load_quantized(
-                self.checkpoint_path,
-                self.model_factory,
-                mmap=self.mmap,
-                share_views=self.mmap,
-            )
+            # an mmap load goes through the inode-keyed mapping cache, so a
+            # worker process maps the checkpoint exactly once no matter how it
+            # is reloaded (and reports it in the ready payload)
+            model = load_quantized(self.checkpoint_path, self.model_factory, mmap=self.mmap)
             if self.serving_mode is not None:
                 set_serving_mode(
                     model,

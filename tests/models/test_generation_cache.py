@@ -52,7 +52,7 @@ class TestKVCache:
         with pytest.raises(RuntimeError, match="overflow"):
             cache.append(block, block)
 
-    def test_permute_and_copy_rows(self):
+    def test_permute_rows(self):
         cache = nn.KVCache(rows=3, num_heads=1, head_dim=2, capacity=4)
         k = np.arange(3 * 2 * 2, dtype=np.float32).reshape(3, 1, 2, 2)
         cache.append(k, k)
@@ -61,9 +61,6 @@ class TestKVCache:
         np.testing.assert_array_equal(dense_k[0], k[2])
         np.testing.assert_array_equal(dense_k[1], k[2])
         np.testing.assert_array_equal(dense_k[2], k[0])
-        cache.copy_rows([0], [2])
-        dense_k, _, _ = cache.dense()
-        np.testing.assert_array_equal(dense_k[2], k[2])
 
     def test_reset_rows_reuses_storage(self):
         cache = nn.KVCache(rows=2, num_heads=1, head_dim=2, capacity=4)

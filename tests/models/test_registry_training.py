@@ -171,3 +171,12 @@ class TestBuildTask:
             bert_bundle.model.named_parameters(), again.model.named_parameters()
         ):
             assert np.array_equal(a.data, b.data)
+
+    def test_eval_split_keeps_row_aligned_extras(self, lm_bundle):
+        # the LM eval split carries its grammar, which Table 4's metric scores against
+        evald = lm_bundle.eval_data
+        probs = evald.extras["transition_probs"]
+        assert len(probs) == len(evald.inputs) == len(evald.targets)
+        rows = np.arange(len(evald.inputs))[:, None]
+        assert np.all(probs[rows, evald.inputs, evald.targets] > 0)
+        assert len(lm_bundle.train_data.extras["transition_probs"]) == len(lm_bundle.train_data)

@@ -224,20 +224,13 @@ class TestSharedViews:
         save_quantized(result.model, path, recipe=result.recipe)
         return path
 
-    def test_share_views_requires_mmap(self, tmp_path):
-        path = self._save(tmp_path)
-        with pytest.raises(ValueError, match="mmap"):
-            load_quantized(path, _mlp, share_views=True)
-        with pytest.raises(ValueError, match="mmap"):
-            read_container(path, share_views=True)
-
     def test_replicas_alias_one_mapping(self, tmp_path):
         from repro.serialization import clear_mapping_cache
 
         path = self._save(tmp_path)
         clear_mapping_cache()
         try:
-            replicas = [load_quantized(path, _mlp, mmap=True, share_views=True) for _ in range(3)]
+            replicas = [load_quantized(path, _mlp, mmap=True) for _ in range(3)]
             bases = {id(_root_base(_wrappers(replica)[0].weight_q.codes)) for replica in replicas}
             assert len(bases) == 1
             # the fleet maps the checkpoint bytes exactly once
@@ -250,22 +243,14 @@ class TestSharedViews:
             del replicas
             clear_mapping_cache()
 
-    def test_unshared_loads_map_separately(self, tmp_path):
-        path = self._save(tmp_path)
-        m1 = load_quantized(path, _mlp, mmap=True)
-        m2 = load_quantized(path, _mlp, mmap=True)
-        base1 = _root_base(_wrappers(m1)[0].weight_q.codes)
-        base2 = _root_base(_wrappers(m2)[0].weight_q.codes)
-        assert base1 is not base2
-
     def test_shared_replicas_outputs_bit_identical(self, tmp_path):
         from repro.serialization import clear_mapping_cache
 
         path = self._save(tmp_path)
         clear_mapping_cache()
         try:
-            m1 = load_quantized(path, _mlp, mmap=True, share_views=True)
-            m2 = load_quantized(path, _mlp, mmap=True, share_views=True)
+            m1 = load_quantized(path, _mlp, mmap=True)
+            m2 = load_quantized(path, _mlp, mmap=True)
             copied = load_quantized(path, _mlp)
             probe = _probe()
             out1, out2 = m1(probe).data, m2(probe).data
@@ -283,14 +268,14 @@ class TestSharedViews:
         path = self._save(tmp_path, seed=0)
         clear_mapping_cache()
         try:
-            before = load_quantized(path, _mlp, mmap=True, share_views=True)
+            before = load_quantized(path, _mlp, mmap=True)
             base_before = _root_base(_wrappers(before)[0].weight_q.codes)
             _time.sleep(0.01)  # ensure a distinct mtime for the rewrite
             result = quantize_model(
                 _mlp(seed=9), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
             )
             save_quantized(result.model, path, recipe=result.recipe)
-            after = load_quantized(path, _mlp, mmap=True, share_views=True)
+            after = load_quantized(path, _mlp, mmap=True)
             base_after = _root_base(_wrappers(after)[0].weight_q.codes)
             # a (size, mtime)-mismatched cache entry is never reused
             assert base_before is not base_after
@@ -306,11 +291,11 @@ class TestSharedViews:
 
         path = self._save(tmp_path)
         clear_mapping_cache()
-        model = load_quantized(path, _mlp, mmap=True, share_views=True)
+        model = load_quantized(path, _mlp, mmap=True)
         base = _root_base(_wrappers(model)[0].weight_q.codes)
         assert clear_mapping_cache() == 1
         assert clear_mapping_cache() == 0
-        fresh = load_quantized(path, _mlp, mmap=True, share_views=True)
+        fresh = load_quantized(path, _mlp, mmap=True)
         assert _root_base(_wrappers(fresh)[0].weight_q.codes) is not base
         clear_mapping_cache()
 
@@ -321,7 +306,7 @@ class TestSharedViews:
         path_a = self._save(tmp_path, seed=0)
         clear_mapping_cache()
         try:
-            model_a = load_quantized(path_a, _mlp, mmap=True, share_views=True)
+            model_a = load_quantized(path_a, _mlp, mmap=True)
             assert len(_MAPPINGS) == 1
             del model_a  # releases every view into path_a's mapping
             result = quantize_model(
@@ -331,7 +316,7 @@ class TestSharedViews:
             )
             path_b = str(tmp_path / "rotated.rpq")
             save_quantized(result.model, path_b, recipe=result.recipe)
-            model_b = load_quantized(path_b, _mlp, mmap=True, share_views=True)
+            model_b = load_quantized(path_b, _mlp, mmap=True)
             # the miss on path_b swept path_a's now-unreferenced mapping, so
             # rotating checkpoints does not accumulate stale mappings/fds
             assert len(_MAPPINGS) == 1
@@ -345,7 +330,7 @@ class TestSharedViews:
         path = self._save(tmp_path)
         clear_mapping_cache()
         try:
-            model = load_quantized(path, _mlp, mmap=True, share_views=True)
+            model = load_quantized(path, _mlp, mmap=True)
             codes = _wrappers(model)[0].weight_q.codes
             assert is_memory_mapped(codes)
             with pytest.raises((ValueError, RuntimeError)):

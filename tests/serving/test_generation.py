@@ -13,6 +13,7 @@ import pytest
 
 import repro.nn as nn
 from repro.models.transformer import GPTStyleLM
+from repro.serving import generation
 from repro.serving import (
     DeadlineExceeded,
     GenerationRequest,
@@ -262,6 +263,43 @@ class TestEngineGeneration:
         )
         with pytest.raises(RuntimeError, match="closed"):
             engine.generate(np.array([1, 2]), GenerationRequest())
+
+
+class TestEngineMatchesModelGenerate:
+    """A lone engine request runs the same search as ``model.generate``, in every mode."""
+
+    @pytest.mark.parametrize("use_eos", [False, True], ids=["no-eos", "eos"])
+    @pytest.mark.parametrize("kv_cache", ["float32", "E4M3"])
+    @pytest.mark.parametrize("beam_size", [1, 3], ids=["greedy", "beam3"])
+    def test_lone_request_matches_model_generate(self, beam_size, kv_cache, use_eos):
+        model = small_lm(seed=4)
+        prompt = np.array([3, 9, 4, 1])
+        options = dict(max_new_tokens=12, beam_size=beam_size, kv_cache=kv_cache)
+        eos = None
+        if use_eos:
+            # a token the unstopped search emits, so EOS cuts the output short
+            eos = int(model.generate(prompt, **options)[prompt.size + 2])
+        ref = model.generate(prompt, eos_token=eos, **options)
+        with ServingEngine(model, plan_cache=False) as engine:
+            out = engine.generate(prompt, GenerationRequest(eos_token=eos, **options))
+            np.testing.assert_array_equal(out.result(timeout=60), ref)
+        if use_eos:
+            assert ref[-1] == eos and ref.size < prompt.size + 12
+
+
+class TestGenerationStats:
+    def test_latency_samples_stay_in_a_bounded_window(self, monkeypatch):
+        monkeypatch.setattr(generation, "_STATS_WINDOW", 4)
+        driver = generation.GenerationDriver(small_lm())
+        try:
+            session = driver.submit(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=12))
+            session.future.result(timeout=60)
+            stats = driver.stats
+        finally:
+            driver.close()
+        assert stats["prefill_steps"] == 1 and stats["decode_steps"] == 11
+        assert len(driver._prefill_s) == 1 and len(driver._decode_s) == 4
+        assert stats["decode_p95_ms"] >= stats["decode_p50_ms"] > 0
 
 
 class TestTokenScheduler:
