@@ -64,8 +64,9 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 _lock = threading.RLock()
 #: memoised compiler path: unset sentinel -> str path -> or None (unavailable)
 _compiler: object = ...
-#: loaded kernels keyed by source hash; None entries memoise compile failures
-_kernels: Dict[str, Optional[ctypes.CFUNCTYPE]] = {}
+#: typed decode kernels keyed by (format, per_row); None entries memoise an
+#: unavailable tier or a failed compile or load
+_decoders: Dict[Tuple[FP8Format, bool], Optional[ctypes.CFUNCTYPE]] = {}
 _warned: set = set()
 
 
@@ -158,53 +159,53 @@ def _compile_to_cache(source: str, cc: str, key: str) -> Optional[str]:
 
 
 def _load(source: str):
-    """Compile-or-load the kernel for ``source``; memoised, None on failure."""
+    """Compile-or-load the kernel for ``source``; None on failure."""
     cc = compiler_path()
     if cc is None:
         return None
-    key = _source_key(source, cc)
-    with _lock:
-        if key in _kernels:
-            return _kernels[key]
-        fn = None
-        so_path = _compile_to_cache(source, cc, key)
-        if so_path is not None:
-            try:
-                fn = getattr(ctypes.CDLL(so_path), KERNEL_SYMBOL)
-            except OSError as exc:
-                # a corrupt cache entry must not wedge the process: drop it so
-                # the next call re-compiles from source
-                try:
-                    os.unlink(so_path)
-                except OSError:
-                    pass
-                _warn_once(
-                    "load-failed",
-                    f"loading a cached native FP8 kernel failed ({exc}); falling "
-                    "back to the numpy fast kernels",
-                )
-        _kernels[key] = fn
-        return fn
+    so_path = _compile_to_cache(source, cc, _source_key(source, cc))
+    if so_path is None:
+        return None
+    try:
+        return getattr(ctypes.CDLL(so_path), KERNEL_SYMBOL)
+    except OSError as exc:
+        # a corrupt cache entry must not wedge the process: drop it so the
+        # next load (after reset(), or in a new process) re-compiles from source
+        try:
+            os.unlink(so_path)
+        except OSError:
+            pass
+        _warn_once(
+            "load-failed",
+            f"loading a cached native FP8 kernel failed ({exc}); falling "
+            "back to the numpy fast kernels",
+        )
+        return None
 
 
 def decode_kernel(fmt: FP8Format, per_row: bool):
     """The compiled fused decode → rescale kernel, or None when unavailable.
 
-    Call signature (all arrays C-contiguous):
+    Memoised per (format, per_row) until :func:`reset`; the lock keeps two
+    threads from compiling the same kernel at once.  Call signature (all
+    arrays C-contiguous):
     ``fn(codes_u8_ptr, scale_f64_ptr, out_f32_ptr, rows, cols)``.
     """
-    fn = _load(render_decode_kernel(fmt, per_row))
-    if fn is not None and not getattr(fn, "_typed", False):
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_long,
-            ctypes.c_long,
-        ]
-        fn._typed = True
-    return fn
+    key = (fmt, per_row)
+    with _lock:
+        if key not in _decoders:
+            fn = _load(render_decode_kernel(fmt, per_row))
+            if fn is not None:
+                fn.restype = None
+                fn.argtypes = [
+                    ctypes.c_void_p,
+                    ctypes.c_void_p,
+                    ctypes.c_void_p,
+                    ctypes.c_long,
+                    ctypes.c_long,
+                ]
+            _decoders[key] = fn
+        return _decoders[key]
 
 
 def reset() -> None:
@@ -212,5 +213,5 @@ def reset() -> None:
     global _compiler
     with _lock:
         _compiler = ...
-        _kernels.clear()
+        _decoders.clear()
         _warned.clear()

@@ -185,6 +185,20 @@ class TestNonlinearityGradients:
         gradcheck(lambda a: a.clip(-1.0, 1.0), [a])
 
 
+class TestNonlinearityValues:
+    def test_gelu_matches_float64_formula(self):
+        # gradcheck covers only the gradient; this pins the forward values
+        # against a float64 evaluation of the same tanh approximation
+        rng = np.random.default_rng(0)
+        grid = np.linspace(-20.0, 20.0, 40001)
+        x = np.concatenate([grid, rng.normal(0.0, 3.0, 100_000)]).astype(np.float32)
+        got = Tensor(x).gelu().data
+        assert got.dtype == np.float32
+        x64 = x.astype(np.float64)
+        want = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64**3)))
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+
 class TestGraphBehaviour:
     def test_diamond_graph_accumulates(self):
         x = t((3,))

@@ -185,6 +185,29 @@ class TestDispatchIntegration:
         finally:
             runtime.reset()
 
+    def test_kernel_lookup_is_memoised_until_reset(self, monkeypatch):
+        # the source hash is the slow part of a lookup: one per (format,
+        # granularity) until reset() forgets the loaded kernels
+        calls = []
+        source_key = runtime._source_key
+
+        def counting_source_key(source, cc):
+            calls.append(1)
+            return source_key(source, cc)
+
+        runtime.reset()
+        monkeypatch.setattr(runtime, "_source_key", counting_source_key)
+        codes, scale = np.zeros((2, 2), np.uint8), np.asarray(1.0)
+        try:
+            assert native.decode_rescale(codes, E4M3, scale) is not None
+            assert native.decode_rescale(codes, E4M3, scale) is not None
+            assert len(calls) == 1
+            runtime.reset()
+            assert native.decode_rescale(codes, E4M3, scale) is not None
+            assert len(calls) == 2
+        finally:
+            runtime.reset()
+
 
 # ----------------------------------------------------------------------
 # the streaming matmul: native decode per block, BLAS for the FLOPs

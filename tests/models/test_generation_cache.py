@@ -10,6 +10,8 @@ tests bound.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn as nn
 from repro.autograd.tensor import Tensor
@@ -96,6 +98,101 @@ class TestKVCache:
         # decode to finite values (the mask relies on 0 * finite == 0)
         dense_k, dense_v, _ = cache.dense()
         assert np.all(np.isfinite(dense_k)) and np.all(np.isfinite(dense_v))
+
+    @pytest.mark.parametrize("storage", ["float32", "E4M3"])
+    @pytest.mark.parametrize(
+        "new_lens, match",
+        [
+            ([5], r"new_lens\[0\] = 5 .*row 1"),
+            ([-1], r"new_lens\[0\] = -1 .*row 1"),
+            ([1, 1], "one new length per row"),
+            ([0.5], "integer"),
+        ],
+    )
+    def test_out_of_range_new_lens_rejected_before_any_write(self, storage, new_lens, match):
+        cache = nn.KVCache(rows=2, num_heads=1, head_dim=2, capacity=8, storage=storage)
+        first = np.ones((2, 1, 2, 2), dtype=np.float32)
+        cache.append(first, first)
+        arrays = [array.copy() for array in cache._arrays()]
+        block = np.full((1, 1, 1, 2), 7.0, dtype=np.float32)
+        with pytest.raises(ValueError, match=match):
+            cache.append(block, block, rows=[1], new_lens=new_lens)
+        assert cache.lengths.tolist() == [2, 2]
+        for before, after in zip(arrays, cache._arrays()):
+            np.testing.assert_array_equal(before, after)
+
+    def test_bad_row_rejected_before_earlier_rows_are_written(self):
+        cache = nn.KVCache(rows=3, num_heads=1, head_dim=2, capacity=8, storage="E4M3")
+        block = np.ones((3, 1, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"new_lens\[2\] = 3 .*row 0"):
+            cache.append(block, block, rows=[2, 1, 0], new_lens=[2, 1, 3])
+        assert cache.lengths.tolist() == [0, 0, 0]
+        assert not cache._arrays()[0].any()
+
+
+def append_per_row(cache, k, v, rows, new_lens):
+    """The per-row write ``KVCache.append`` replaced: the bit-exact oracle.
+
+    One ``fp8_quantize_channelwise`` call per row and per K/V, written into the
+    cache's (K/V, row, head, position, dim) storage row by row.
+    """
+    from repro.fp8.kernels import fp8_quantize_channelwise
+
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = cache.lengths[rows].copy()
+    for i, row in enumerate(rows):
+        n = int(new_lens[i])
+        if n == 0:
+            continue
+        start = int(starts[i])
+        for which, block in enumerate((k, v)):
+            if cache.fmt is None:
+                cache._kv[which, row, :, start : start + n] = block[i, :, :n]
+            else:
+                codes, scale = fp8_quantize_channelwise(block[i, :, :n], cache.fmt, axis=(0, 1))
+                cache._codes[which, row, :, start : start + n] = codes
+                cache._scales[which, row, :, start : start + n] = scale
+    cache.lengths[rows] = starts + np.asarray(new_lens, dtype=np.int64)
+    return starts
+
+
+class TestBatchedAppendMatchesPerRow:
+    """One fused encode over every row's new K and V ≡ the per-row loop, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        storage=st.sampled_from(["float32", "E4M3", "E5M2"]),
+        heads=st.integers(1, 3),
+        head_dim=st.integers(1, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_appends_bit_identical(self, data, storage, heads, head_dim, seed):
+        rng = np.random.default_rng(seed)
+        slots, capacity = 5, 24
+        batched = nn.KVCache(slots, heads, head_dim, capacity, storage=storage)
+        reference = nn.KVCache(slots, heads, head_dim, capacity, storage=storage)
+        for _ in range(data.draw(st.integers(1, 4))):
+            rows = data.draw(st.permutations(range(slots)))[: data.draw(st.integers(1, slots))]
+            s = data.draw(st.integers(1, 8))
+            new_lens = np.asarray(
+                data.draw(st.lists(st.integers(0, s), min_size=len(rows), max_size=len(rows)))
+            )
+            if np.any(batched.lengths[rows] + new_lens > capacity):
+                break
+            # every (row, head, token) vector gets its own magnitude: zeros,
+            # tiny, unit or large, so scales span the whole range per block
+            shape = (len(rows), heads, s, head_dim)
+            magnitude = rng.choice([0.0, 1e-6, 1.0, 300.0], size=shape[:3] + (1,))
+            k = (rng.standard_normal(shape) * magnitude).astype(np.float32)
+            v = (rng.standard_normal(shape) * magnitude).astype(np.float32)
+            got = batched.append(k, v, rows=rows, new_lens=new_lens)
+            want = append_per_row(reference, k, v, rows, new_lens)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(batched.lengths, reference.lengths)
+            for a, b in zip(batched._arrays(), reference._arrays()):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 class TestCoercePrompt:
