@@ -1,10 +1,12 @@
-"""FP8 cast kernel throughput: bit-twiddling fast path vs. table-based reference.
+"""FP8 cast kernel throughput: the public functions vs. the table-based reference.
 
-Records elements/sec for both kernels registered in :mod:`repro.fp8.kernels`
-(``fast`` — direct IEEE-754 bit manipulation; ``reference`` — the original
-table-``searchsorted`` oracle) on 1M-element tensors, covering the raw cast
-(`fp8_round` in float32 and float64), the fused Q/DQ round trip used by every
-quantized operator and observer search, and encode/decode.
+Records elements/sec for the public FP8 functions (``fp8_round``,
+``quantize_dequantize``, ``FP8Format.encode`` / ``decode`` — direct IEEE-754
+bit manipulation and a LUT gather) against the original
+table-``searchsorted`` oracles in :mod:`repro.fp8.kernels`, called directly,
+on 1M-element tensors, covering the raw cast (`fp8_round` in float32 and
+float64), the fused Q/DQ round trip used by every quantized operator and
+observer search, and encode/decode.
 
 Run standalone::
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.evaluation.reporting import format_table
 from repro.fp8 import E4M3, get_format
-from repro.fp8.kernels import use_kernel
+from repro.fp8.kernels import fp8_decode_reference, fp8_encode_reference, fp8_round_reference
 from repro.fp8.quantize import fp8_round, quantize_dequantize
 
 N = 1_000_000
@@ -47,29 +49,48 @@ def _time(fn, rounds=5, warmup=1):
     return best
 
 
+def _reference_qdq(x, fmt, scale):
+    """The Q/DQ round trip on the reference round (the fused kernel's oracle)."""
+    q = fp8_round_reference(np.asarray(x, dtype=np.float64) * scale, fmt)
+    return (q / scale).astype(np.float32)
+
+
 def _workloads(fmt):
+    """``(name, elements, reference call, public call)`` per workload."""
     rng = np.random.default_rng(0)
     x64 = rng.normal(0.0, 1.0, N)
     x32 = x64.astype(np.float32)
     scale = np.asarray(fmt.max_value / float(np.abs(x64).max()))
     codes = fmt.encode(x32)
     return [
-        ("fp8_round f32", N, lambda: fp8_round(x32, fmt)),
-        ("fp8_round f64", N, lambda: fp8_round(x64, fmt)),
-        ("quantize_dequantize f32", N, lambda: quantize_dequantize(x32, fmt, scale=scale)),
-        ("encode f32", N, lambda: fmt.encode(x32)),
-        ("decode", N, lambda: fmt.decode(codes)),
+        (
+            "fp8_round f32",
+            N,
+            lambda: fp8_round_reference(x32, fmt),
+            lambda: fp8_round(x32, fmt),
+        ),
+        (
+            "fp8_round f64",
+            N,
+            lambda: fp8_round_reference(x64, fmt),
+            lambda: fp8_round(x64, fmt),
+        ),
+        (
+            "quantize_dequantize f32",
+            N,
+            lambda: _reference_qdq(x32, fmt, scale),
+            lambda: quantize_dequantize(x32, fmt, scale=scale),
+        ),
+        ("encode f32", N, lambda: fp8_encode_reference(x32, fmt), lambda: fmt.encode(x32)),
+        ("decode", N, lambda: fp8_decode_reference(codes, fmt), lambda: fmt.decode(codes)),
     ]
 
 
 def run(fmt=E4M3):
     rows = []
     speedups = {}
-    for name, n, fn in _workloads(fmt):
-        timings = {}
-        for kernel in ("reference", "fast"):
-            with use_kernel(kernel):
-                timings[kernel] = _time(fn)
+    for name, n, reference_fn, fast_fn in _workloads(fmt):
+        timings = {"reference": _time(reference_fn), "fast": _time(fast_fn)}
         speedup = timings["reference"] / timings["fast"]
         speedups[name] = speedup
         rows.append(

@@ -13,9 +13,8 @@ Gates:
   batch 2) under ``no_grad`` — override with ``REPRO_BENCH_PLAN_MIN_SPEEDUP``
   (CI uses a looser bound on contended shared runners);
 * plan replay is **bit-identical** to eager on the float model and on an
-  E4M3-dynamic quantized model across cached/streaming serving modes x
-  fast/reference FP8 kernels, and the quantized forwards genuinely compile
-  (no silent eager fallback).
+  E4M3-dynamic quantized model in the cached and streaming serving modes,
+  and the quantized forwards genuinely compile (no silent eager fallback).
 
 Run standalone::
 
@@ -36,8 +35,7 @@ import numpy as np
 from repro import nn
 from repro.autograd.tensor import Tensor, no_grad
 from repro.evaluation.reporting import format_table
-from repro.fp8.kernels import use_kernel
-from repro.graph import install_plan_cache, plan_cache_of, remove_plan_cache
+from repro.graph import install_plan_cache, remove_plan_cache
 from repro.quantization import quantize_model, set_serving_mode, standard_recipe
 from repro.quantization.qconfig import Approach
 
@@ -118,7 +116,7 @@ def run_dispatch_speedup() -> dict:
 
 
 def run_quantized_bit_identity() -> dict:
-    """Plan replay == eager on E4M3-dynamic models, all serving modes x kernels."""
+    """Plan replay == eager on an E4M3-dynamic model, in both serving modes."""
     recipe = standard_recipe(
         "E4M3",
         approach=Approach.DYNAMIC,
@@ -126,31 +124,25 @@ def run_quantized_bit_identity() -> dict:
         skip_last_operator=False,
     )
     results = {}
-    for kernel in ("fast", "reference"):
-        with use_kernel(kernel):
-            qmodel = quantize_model(build_mlp(depth=6), recipe).model
-            qmodel.eval()
-            x = Tensor(probe_batch())
-            for mode in ("cached", "streaming"):
-                set_serving_mode(qmodel, mode)
-                with no_grad():
-                    eager_out = qmodel(x)
-                cache = install_plan_cache(qmodel)
-                with no_grad():
-                    qmodel(x)
-                    plan_out = qmodel(x)
-                stats = cache.stats()
-                remove_plan_cache(qmodel)
-                if stats["plans"] != 1 or stats["hits"] < 1:
-                    raise AssertionError(
-                        f"quantized model fell back to eager ({kernel}/{mode}): {stats}"
-                    )
-                identical = np.array_equal(eager_out.data, plan_out.data)
-                results[f"{kernel}/{mode}"] = bool(identical)
-                if not identical:
-                    raise AssertionError(
-                        f"plan replay differs from eager on E4M3-dynamic ({kernel}/{mode})"
-                    )
+    qmodel = quantize_model(build_mlp(depth=6), recipe).model
+    qmodel.eval()
+    x = Tensor(probe_batch())
+    for mode in ("cached", "streaming"):
+        set_serving_mode(qmodel, mode)
+        with no_grad():
+            eager_out = qmodel(x)
+        cache = install_plan_cache(qmodel)
+        with no_grad():
+            qmodel(x)
+            plan_out = qmodel(x)
+        stats = cache.stats()
+        remove_plan_cache(qmodel)
+        if stats["plans"] != 1 or stats["hits"] < 1:
+            raise AssertionError(f"quantized model fell back to eager ({mode}): {stats}")
+        identical = np.array_equal(eager_out.data, plan_out.data)
+        results[mode] = bool(identical)
+        if not identical:
+            raise AssertionError(f"plan replay differs from eager on E4M3-dynamic ({mode})")
     return results
 
 

@@ -23,14 +23,7 @@ from repro.fp8.formats import (
     FORMAT_REGISTRY,
     get_format,
 )
-from repro.fp8.kernels import (
-    KERNEL_ENV_VAR,
-    VALID_KERNELS,
-    channel_absmax,
-    get_active_kernel,
-    set_kernel,
-    use_kernel,
-)
+from repro.fp8.kernels import channel_absmax
 from repro.fp8.quantize import (
     quantize_to_fp8,
     fp8_round,
@@ -63,12 +56,7 @@ __all__ = [
     "E2M5",
     "FORMAT_REGISTRY",
     "get_format",
-    "KERNEL_ENV_VAR",
-    "VALID_KERNELS",
     "channel_absmax",
-    "get_active_kernel",
-    "set_kernel",
-    "use_kernel",
     "quantize_to_fp8",
     "fp8_round",
     "compute_scale",

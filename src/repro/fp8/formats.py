@@ -235,14 +235,12 @@ class FP8Format:
 
         Values are first rounded onto the representable grid with
         round-to-nearest-even and saturation (see :func:`repro.fp8.quantize.fp8_round`).
-        NaNs map to the canonical NaN code.  Dispatches between the fast and
-        reference kernels (see :mod:`repro.fp8.kernels`).
+        NaNs map to the canonical NaN code.  Runs the bit-twiddling encoder
+        (see :mod:`repro.fp8.kernels`).
         """
         from repro.fp8 import kernels
 
-        if kernels.get_active_kernel() != "reference":
-            return kernels.fp8_encode_fast(x, self)
-        return kernels.fp8_encode_reference(x, self)
+        return kernels.fp8_encode_fast(x, self)
 
     @property
     def nan_code(self) -> int:
@@ -255,16 +253,13 @@ class FP8Format:
         return (self.exponent_all_ones << self.mantissa_bits) | (2**self.mantissa_bits - 1)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Decode raw 8-bit codes back to FP32 values.
+        """Decode raw 8-bit codes back to FP32 values (one LUT gather per code).
 
-        Dispatches between the LUT-based fast kernel and the field-by-field
-        reference (see :mod:`repro.fp8.kernels`).
+        See :mod:`repro.fp8.kernels`.
         """
         from repro.fp8 import kernels
 
-        if kernels.get_active_kernel() != "reference":
-            return kernels.fp8_decode_fast(codes, self)
-        return kernels.fp8_decode_reference(codes, self)
+        return kernels.fp8_decode_fast(codes, self)
 
     def is_representable(self, x: float) -> bool:
         """Return True if the scalar ``x`` lies exactly on the format grid."""

@@ -1,4 +1,4 @@
-"""FP8 cast kernels: bit-twiddling fast path + table-based reference oracle.
+"""FP8 cast kernels: bit-twiddling numpy kernels, a compiled decode, and their oracles.
 
 The emulated FP8 cast is the innermost primitive of the whole reproduction:
 every Q/DQ-wrapped operator, every MSE/KL threshold-search iteration and every
@@ -10,49 +10,27 @@ O(1)-per-element replacement that manipulates IEEE-754 bit patterns directly,
 plus the original table-based implementation kept verbatim as the oracle the
 fast path is tested against.
 
-Kernel dispatch
----------------
-Three kernels are registered:
+One path per operation
+----------------------
+Encode, round and Q/DQ run the numpy bit-twiddling kernels: direct IEEE-754
+bit manipulation on float32 (or float64) views — exponent clamp + saturation
+against the format's ``max_value`` bit pattern, subnormal flush-to-grid with
+an explicit leading bit, and mantissa round-to-nearest-even implemented as an
+integer rounding-bias add.  Each is already one fused numpy pass.
 
-``fast`` (default)
-    Direct IEEE-754 bit manipulation on float32 (or float64) views: exponent
-    clamp + saturation against the format's ``max_value`` bit pattern,
-    subnormal flush-to-grid with an explicit leading bit, and mantissa
-    round-to-nearest-even implemented as an integer rounding-bias add.
-    Decoding uses a 256-entry code→value lookup table.  Bit-exact against the
-    reference on every input (including NaN/±inf/±0/subnormals and ties).
+Decode → rescale (:func:`fp8_dequantize_channelwise`) runs the compiled C
+kernel of :mod:`repro.fp8.native` whenever it can provide one — a C compiler
+is found and the scale layout is covered — and the numpy 256-entry LUT
+gather plus float64 divide otherwise.  The two are bit-identical by
+construction, so which one ran never changes a result.
 
-``reference``
-    The original table-``searchsorted`` implementation — slow but transparent;
-    serves as the oracle in ``tests/fp8/test_kernels.py``.
+The table-based ``*_reference`` functions are the oracles: only tests and
+benches call :func:`fp8_round_reference` and :func:`fp8_encode_reference`.
+:func:`fp8_decode_reference` also builds the decode LUT, and through it the
+table baked into the C kernel.
 
-``native``
-    Compiled fused C kernels (:mod:`repro.fp8.native`): the decode → rescale
-    chain runs as one ``cc``-compiled ctypes call instead of four numpy
-    passes, bit-identical to ``fast`` by construction.  Encode/round paths
-    are shared with ``fast`` (they are already single fused numpy passes).
-    When no C compiler is present :func:`get_active_kernel` resolves
-    ``native`` to ``fast`` automatically — one warning, then silence — so
-    selecting ``native`` is always safe.
-
-Selection, in precedence order:
-
-1. :func:`set_kernel` / :class:`use_kernel` (programmatic override),
-2. the ``REPRO_FP8_KERNEL`` environment variable
-   (``fast`` | ``reference`` | ``native``),
-3. the default, ``fast``.
-
-The programmatic override is **thread-local**: ``set_kernel``/``use_kernel``
-affect only the calling thread, so ``ServingEngine`` worker threads and
-concurrent tests can toggle kernels without racing each other.  Threads that
-never set an override (including worker threads spawned inside a
-``use_kernel`` block — thread-locals do not inherit) fall through to the
-environment variable, which is the process-wide switch.  This is safe by
-construction: every tier is bit-identical on the decode paths, so a worker
-resolving a different tier than its spawner produces the same bits.
-
-``benchmarks/bench_kernel_throughput.py`` records elements/sec for the numpy
-kernels and ``benchmarks/bench_native_kernels.py`` gates the native tier.
+``benchmarks/bench_kernel_throughput.py`` times the numpy kernels against the
+oracles and ``benchmarks/bench_native_kernels.py`` gates the compiled decode.
 
 Bit-twiddling notes
 -------------------
@@ -79,23 +57,16 @@ format with ``m`` mantissa bits and bias ``b``:
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.fp8 import native
 from repro.fp8.formats import FP8Format
 
 __all__ = [
-    "KERNEL_ENV_VAR",
-    "VALID_KERNELS",
-    "get_active_kernel",
-    "set_kernel",
-    "use_kernel",
     "fp8_round_fast",
     "fp8_round_reference",
     "fp8_encode_fast",
@@ -112,61 +83,11 @@ __all__ = [
 
 AxisLike = Optional[Union[int, Sequence[int]]]
 
-KERNEL_ENV_VAR = "REPRO_FP8_KERNEL"
-VALID_KERNELS = ("fast", "reference", "native")
-
-#: per-thread programmatic override; ``.name`` is unset until the thread calls
-#: :func:`set_kernel` / :func:`use_kernel` (thread-locals do not inherit, so a
-#: worker thread spawned inside a ``use_kernel`` block sees the env/default)
-_kernel_override = threading.local()
-
-
-def _validate(name: str) -> str:
-    name = name.strip().lower()
-    if name not in VALID_KERNELS:
-        raise ValueError(f"unknown FP8 kernel {name!r}; valid kernels: {', '.join(VALID_KERNELS)}")
-    return name
-
-
-def get_active_kernel() -> str:
-    """Return the selected kernel name, resolved to a usable tier.
-
-    Precedence: this thread's programmatic override, then the
-    ``REPRO_FP8_KERNEL`` environment variable, then ``"fast"``.  A ``native``
-    selection resolves to ``"fast"`` when no C compiler is available (the
-    runtime warns once per process), so callers can branch on the returned
-    name without re-checking availability.
-    """
-    name = getattr(_kernel_override, "name", None)
-    if name is None:
-        env = os.environ.get(KERNEL_ENV_VAR, "").strip()
-        name = _validate(env) if env else "fast"
-    if name == "native":
-        from repro.fp8 import native
-
-        if not native.native_available():
-            return "fast"
-    return name
-
-
-def set_kernel(name: Optional[str]) -> None:
-    """Override the active kernel for the calling thread (``None`` restores env/default)."""
-    _kernel_override.name = None if name is None else _validate(name)
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[None]:
-    """Context manager that temporarily selects a kernel in the calling thread."""
-    previous = getattr(_kernel_override, "name", None)
-    _kernel_override.name = _validate(name)
-    try:
-        yield
-    finally:
-        _kernel_override.name = previous
-
 
 # ======================================================================
-# Reference kernel (table-based oracle; the original implementation)
+# Reference kernels (table-based oracles; the original implementation).
+# Only tests and benches call the round and encode oracles; the decode
+# oracle also builds the LUT of the fast and compiled decoders.
 # ======================================================================
 def fp8_round_reference(x: np.ndarray, fmt: FP8Format) -> np.ndarray:
     """Table-``searchsorted`` round-to-nearest-even onto the format grid."""
@@ -514,12 +435,7 @@ def fp8_quantize_channelwise(
     else:
         scale = np.asarray(scale, dtype=np.float64)
     scaled = np.multiply(x, scale, dtype=np.float64)
-    # the native tier shares the fast encoder (encode is already one fused pass)
-    if get_active_kernel() != "reference":
-        codes = fp8_encode_fast(scaled, fmt)
-    else:
-        codes = fp8_encode_reference(scaled, fmt)
-    return codes, scale
+    return fp8_encode_fast(scaled, fmt), scale
 
 
 def fp8_dequantize_channelwise(codes: np.ndarray, fmt: FP8Format, scale: np.ndarray) -> np.ndarray:
@@ -527,24 +443,15 @@ def fp8_dequantize_channelwise(codes: np.ndarray, fmt: FP8Format, scale: np.ndar
 
     Inverse of :func:`fp8_quantize_channelwise`; the divide happens in float64
     against the broadcast (never materialised) scale and the result is cast
-    to float32, matching the fused Q/DQ pipeline bit for bit.  Under the
-    ``native`` tier the whole chain runs as a single compiled C pass
-    (bit-identical by construction); layouts the C kernels do not cover fall
-    back to the numpy path transparently.
+    to float32, matching the fused Q/DQ pipeline bit for bit.  The whole chain
+    runs as one compiled C pass when :func:`repro.fp8.native.decode_rescale`
+    provides one (bit-identical by construction); without a C compiler, or
+    for a layout the C kernel does not cover, the numpy LUT decode runs.
     """
-    kernel = get_active_kernel()
-    if kernel == "native":
-        from repro.fp8 import native
-
-        out = native.decode_rescale(np.asarray(codes), fmt, np.asarray(scale))
-        if out is not None:
-            return out
-        kernel = "fast"
-    if kernel != "reference":
-        values = fp8_decode_fast(codes, fmt)
-    else:
-        values = fp8_decode_reference(codes, fmt)
-    out = np.divide(values, scale, dtype=np.float64)
+    out = native.decode_rescale(codes, fmt, scale)
+    if out is not None:
+        return out
+    out = np.divide(fp8_decode_fast(codes, fmt), scale, dtype=np.float64)
     return out.astype(np.float32, copy=False)
 
 
@@ -560,15 +467,8 @@ def quantize_dequantize_axis(
     two-step ``compute_scale`` + ``quantize_dequantize`` sequence (which
     re-walked the tensor once per step) with one reduction and one fused
     round-trip, and never materialises a broadcast scale array.  Bit-identical
-    to the unfused sequence on both kernels.
+    to the unfused sequence and to the reference round trip.
     """
     if absmax is None:
         absmax = channel_absmax(x, axis)
-    scale = absmax_to_scale(absmax, fmt.max_value)
-    # native shares the fast fused round trip (round/rescale is compute-bound
-    # in the float64 bit-twiddling, not in temporaries)
-    if get_active_kernel() != "reference":
-        return quantize_dequantize_fused(x, fmt, scale)
-    scaled = np.multiply(x, scale, dtype=np.float64)
-    q = fp8_round_reference(scaled, fmt)
-    return (q / scale).astype(np.float32)
+    return quantize_dequantize_fused(x, fmt, absmax_to_scale(absmax, fmt.max_value))

@@ -1,24 +1,23 @@
-"""Render fused FP8 decode kernels to C source (the codegen half of the tier).
+"""Render the fused FP8 decode kernel to C source (the codegen half).
 
 This module is the *renderer* of the renderer/runtime split (in the style of
 tinygrad's ``cstyle.py`` / ``ops_clang.py``): it turns an FP8 format table
-plus a scale granularity into one self-contained C translation unit, and
+into one self-contained C translation unit, and
 :mod:`repro.fp8.native.runtime` compiles and loads it.  Nothing here touches
 a compiler — rendering is pure string work, so it is cheap, deterministic
 and directly testable.
 
 :func:`render_decode_kernel` renders the fused decode → rescale:
 ``out[r, c] = float32(float64(LUT[code]) / s_r)`` over a ``rows x cols``
-block of packed codes, with ``s_r`` either one per-tensor scalar or a
-per-row (channel) scale.  This is **bit-identical** to the numpy ``fast``
-path by construction: the 256-entry LUT is baked into the source as the
-exact float32 bit patterns of the numpy LUT, the divide happens in float64
-and the result is narrowed to float32 — the same three IEEE-754 operations
-numpy performs, in the same order.  For wide rows the kernel first folds the
-row scale into a rescaled 256-entry float32 LUT (256 divides amortised over
-the row) and decodes by pure gather; the memoisation is bit-safe because
-each table entry is produced by the identical divide+narrow the direct path
-would perform per element.
+block of packed codes with one scale per row; a per-tensor scale is one row.
+This is **bit-identical** to the numpy path by construction: the 256-entry
+LUT is baked into the source as the exact float32 bit patterns of the numpy
+LUT, the divide happens in float64 and the result is narrowed to float32 —
+the same three IEEE-754 operations numpy performs, in the same order.  For
+wide rows the kernel first folds the row scale into a rescaled 256-entry
+float32 LUT (256 divides amortised over the row) and decodes by pure gather;
+the memoisation is bit-safe because each table entry is produced by the
+identical divide+narrow the direct path would perform per element.
 
 The runtime caches one compiled shared object per distinct rendered source.
 """
@@ -63,12 +62,12 @@ def _lut_initializer(fmt: FP8Format) -> str:
     return "\n".join(rows)
 
 
-def _header(fmt: FP8Format, kind: str, detail: str) -> str:
+def _header(fmt: FP8Format) -> str:
     return (
-        "/* repro native FP8 kernel (generated - do not edit)\n"
-        f" * family: {kind}  format: {fmt.name} (e={fmt.exponent_bits}, "
+        "/* repro native FP8 decode kernel (generated - do not edit)\n"
+        f" * format: {fmt.name} (e={fmt.exponent_bits}, "
         f"m={fmt.mantissa_bits}, bias={fmt.bias}, ieee_like={fmt.ieee_like})\n"
-        f" * {detail}\n"
+        " * granularity: one scale per row\n"
         " */\n"
         "#include <stdint.h>\n"
         "\n"
@@ -81,7 +80,7 @@ def _header(fmt: FP8Format, kind: str, detail: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def render_decode_kernel(fmt: FP8Format, per_row: bool) -> str:
+def render_decode_kernel(fmt: FP8Format) -> str:
     """C source for the fused decode → rescale kernel (exact numpy mirror).
 
     Signature of the exported symbol::
@@ -89,26 +88,19 @@ def render_decode_kernel(fmt: FP8Format, per_row: bool) -> str:
         void repro_kernel(const uint8_t *codes, const double *scale,
                           float *out, long rows, long cols);
 
-    ``scale`` points at one float64 for per-tensor granularity or at ``rows``
-    float64 values (the flattened keepdims channel scale) for per-row.
+    ``scale`` points at ``rows`` float64 values: the flattened keepdims
+    channel scale, or the one per-tensor scale with ``rows == 1``.
     """
-    detail = "granularity: per-row channel scale" if per_row else "granularity: per-tensor scale"
-    src = [_header(fmt, "decode", detail)]
-    src.append(
-        f"""
+    # Wide rows: fold the row scale into a rescaled 256-entry LUT and decode
+    # by pure gather.  Each table entry is the identical float64-divide +
+    # float32-narrow the direct branch performs per element, so both
+    # branches (and numpy) agree bit for bit.
+    body = f"""
 void {KERNEL_SYMBOL}(const uint8_t *codes, const double *scale,
                      float *out, long rows, long cols)
 {{
     f32bits v;
-"""
-    )
-    if per_row:
-        # Wide rows: fold the row scale into a rescaled 256-entry LUT and
-        # decode by pure gather.  Each table entry is the identical
-        # float64-divide + float32-narrow the direct branch performs per
-        # element, so both branches (and numpy) agree bit for bit.
-        src.append(
-            f"""    float row_lut[256];
+    float row_lut[256];
     for (long r = 0; r < rows; r++) {{
         const double s = scale[r];
         const uint8_t *src = codes + r * cols;
@@ -129,19 +121,4 @@ void {KERNEL_SYMBOL}(const uint8_t *codes, const double *scale,
     }}
 }}
 """
-        )
-    else:
-        src.append(
-            """    float flat_lut[256];
-    const double s = scale[0];
-    for (int c = 0; c < 256; c++) {
-        v.u = LUT_BITS[c];
-        flat_lut[c] = (float)((double)v.f / s);
-    }
-    const long n = rows * cols;
-    for (long i = 0; i < n; i++)
-        out[i] = flat_lut[codes[i]];
-}
-"""
-        )
-    return "".join(src)
+    return _header(fmt) + body

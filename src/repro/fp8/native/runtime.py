@@ -1,4 +1,4 @@
-"""Compile and load rendered FP8 kernels (the runtime half of the tier).
+"""Compile and load the rendered FP8 decode kernel (the runtime half).
 
 The runtime takes C source from :mod:`repro.fp8.native.codegen`, compiles it
 with the system C compiler (``cc -O2 -shared -fPIC``), caches the shared
@@ -11,8 +11,8 @@ Configuration
 -------------
 ``REPRO_NATIVE_CC``
     Compiler executable (default: ``cc`` found on ``PATH``).  Pointing this
-    at a non-existent binary disables the tier — used by CI to prove the
-    fallback path.
+    at a non-existent binary sends every decode down the numpy path — how
+    the tests and CI exercise that path on a host that has a compiler.
 ``REPRO_NATIVE_CACHE``
     Disk cache directory for compiled shared objects (default:
     ``~/.cache/repro/native``).  Entries are keyed by source hash, so the
@@ -22,11 +22,11 @@ Configuration
 
 Fallback contract
 -----------------
-Every public accessor returns ``None`` instead of raising when the tier is
-unavailable (no compiler, compile failure, unwritable cache dir): callers
-fall back to the numpy ``fast`` path and the process keeps working.  The
-first failure warns once per process with the reason; subsequent calls are
-silent and cheap (a memoised ``None``).
+Every public accessor returns ``None`` instead of raising when no kernel can
+be had (no compiler, compile failure, unwritable cache dir): callers take
+the numpy decode and the process keeps working.  The first failure warns
+once per process with the reason; subsequent calls are silent and cheap (a
+memoised ``None``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.fp8.formats import FP8Format
 from repro.fp8.native.codegen import KERNEL_SYMBOL, render_decode_kernel
@@ -64,9 +64,9 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 _lock = threading.RLock()
 #: memoised compiler path: unset sentinel -> str path -> or None (unavailable)
 _compiler: object = ...
-#: typed decode kernels keyed by (format, per_row); None entries memoise an
-#: unavailable tier or a failed compile or load
-_decoders: Dict[Tuple[FP8Format, bool], Optional[ctypes.CFUNCTYPE]] = {}
+#: typed decode kernels keyed by format; None entries memoise a missing
+#: compiler or a failed compile or load
+_decoders: Dict[FP8Format, Optional[ctypes.CFUNCTYPE]] = {}
 _warned: set = set()
 
 
@@ -77,7 +77,7 @@ def _warn_once(key: str, message: str) -> None:
 
 
 def compiler_path() -> Optional[str]:
-    """The C compiler executable, or ``None`` when the tier is unavailable."""
+    """The C compiler executable, or ``None`` when none is found."""
     global _compiler
     with _lock:
         if _compiler is ...:
@@ -86,15 +86,14 @@ def compiler_path() -> Optional[str]:
             if _compiler is None:
                 _warn_once(
                     "no-compiler",
-                    f"no C compiler found ({cc!r}); the native FP8 kernel tier is "
-                    "disabled and REPRO_FP8_KERNEL=native falls back to the numpy "
-                    "fast kernels",
+                    f"no C compiler found ({cc!r}); FP8 decode runs on the numpy "
+                    "kernels instead of the compiled one",
                 )
         return _compiler
 
 
 def native_available() -> bool:
-    """True when a C compiler is present (the native tier can be used)."""
+    """True when a C compiler is present (the compiled decode can be built)."""
     return compiler_path() is not None
 
 
@@ -141,7 +140,7 @@ def _compile_to_cache(source: str, cc: str, key: str) -> Optional[str]:
                 _warn_once(
                     "compile-failed",
                     "native FP8 kernel compilation failed; falling back to the "
-                    f"numpy fast kernels: {proc.stderr.strip()[:500]}",
+                    f"numpy kernels: {proc.stderr.strip()[:500]}",
                 )
                 return None
             os.replace(tmp_path, so_path)
@@ -153,7 +152,7 @@ def _compile_to_cache(source: str, cc: str, key: str) -> Optional[str]:
         _warn_once(
             "cache-unwritable",
             f"native FP8 kernel cache {directory!r} is unusable ({exc}); falling "
-            "back to the numpy fast kernels",
+            "back to the numpy kernels",
         )
         return None
 
@@ -178,23 +177,21 @@ def _load(source: str):
         _warn_once(
             "load-failed",
             f"loading a cached native FP8 kernel failed ({exc}); falling "
-            "back to the numpy fast kernels",
+            "back to the numpy kernels",
         )
         return None
 
 
-def decode_kernel(fmt: FP8Format, per_row: bool):
+def decode_kernel(fmt: FP8Format):
     """The compiled fused decode → rescale kernel, or None when unavailable.
 
-    Memoised per (format, per_row) until :func:`reset`; the lock keeps two
-    threads from compiling the same kernel at once.  Call signature (all
-    arrays C-contiguous):
-    ``fn(codes_u8_ptr, scale_f64_ptr, out_f32_ptr, rows, cols)``.
+    Memoised per format until :func:`reset`; the lock keeps two threads from
+    compiling the same kernel at once.  Call signature (all arrays
+    C-contiguous): ``fn(codes_u8_ptr, scale_f64_ptr, out_f32_ptr, rows, cols)``.
     """
-    key = (fmt, per_row)
     with _lock:
-        if key not in _decoders:
-            fn = _load(render_decode_kernel(fmt, per_row))
+        if fmt not in _decoders:
+            fn = _load(render_decode_kernel(fmt))
             if fn is not None:
                 fn.restype = None
                 fn.argtypes = [
@@ -204,8 +201,8 @@ def decode_kernel(fmt: FP8Format, per_row: bool):
                     ctypes.c_long,
                     ctypes.c_long,
                 ]
-            _decoders[key] = fn
-        return _decoders[key]
+            _decoders[fmt] = fn
+        return _decoders[fmt]
 
 
 def reset() -> None:

@@ -1,9 +1,9 @@
 """Vectorised FP8 rounding, scaled quantize/dequantize and packed 8-bit storage.
 
-The rounding primitive dispatches between two interchangeable kernels (see
-:mod:`repro.fp8.kernels`): the default ``fast`` bit-twiddling cast and the
-table-based ``reference`` oracle, selectable via ``REPRO_FP8_KERNEL`` or
-:func:`repro.fp8.kernels.set_kernel`.
+Rounding and Q/DQ run the bit-twiddling numpy kernels, and the packed
+decode runs the compiled C kernel when a C compiler is present (see
+:mod:`repro.fp8.kernels`); the table-based ``reference`` functions there are
+the tests' oracle.
 
 The paper's quantization flow (Section 3.1) uses
 
@@ -126,11 +126,7 @@ def fp8_round(x: np.ndarray, fmt: FormatLike) -> np.ndarray:
     np.ndarray
         Array of the same shape with float32 values lying on the format grid.
     """
-    fmt = _resolve(fmt)
-    # native shares the fast rounding kernel (see repro.fp8.kernels)
-    if kernels.get_active_kernel() != "reference":
-        return kernels.fp8_round_fast(x, fmt)
-    return kernels.fp8_round_reference(x, fmt)
+    return kernels.fp8_round_fast(x, _resolve(fmt))
 
 
 def compute_scale(
@@ -225,12 +221,7 @@ def quantize_dequantize(
     fmt = _resolve(fmt)
     if scale is None:
         return kernels.quantize_dequantize_axis(x, fmt, axis=axis)
-    scale = np.asarray(scale, dtype=np.float64)
-    if kernels.get_active_kernel() != "reference":
-        return kernels.quantize_dequantize_fused(x, fmt, scale)
-    x = np.asarray(x, dtype=np.float64)
-    q = fp8_round(x * scale, fmt)
-    return (q / scale).astype(np.float32)
+    return kernels.quantize_dequantize_fused(x, fmt, np.asarray(scale, dtype=np.float64))
 
 
 #: first-touch integrity hook for mmap-loaded checkpoint views.  ``None``
@@ -290,8 +281,8 @@ class QuantizedTensor:
         """Pack ``x`` into 8-bit codes through the fused per-axis kernels.
 
         The input stays in its native float width end to end (no float64 copy
-        of the tensor is made) and the encode dispatches through the active
-        kernel, consistent with :func:`quantize_dequantize`: for any input,
+        of the tensor is made) and the encode runs the same bit-twiddling
+        kernel as :func:`quantize_dequantize`: for any input,
         ``QuantizedTensor.quantize(x, fmt, axis=a).dequantize()`` equals
         ``quantize_dequantize(x, fmt, axis=a)`` bit for bit (modulo the sign
         of zeros — see the module docstring).

@@ -12,11 +12,11 @@ Bit-exactness contract
 Every executor mirrors the *exact* numpy expression of the eager operator it
 replaces (including scalar coercions to ``float32`` and the ``x + (-y)``
 formulation :class:`~repro.autograd.tensor.Tensor` uses for subtraction), so
-replay output is bit-identical to eager under both ``REPRO_FP8_KERNEL``
-dispatches.  Writing through ``out=`` does not change results — numpy routes
-to the same ufunc/GEMM either way — and the plan cache verifies the property
-at compile time anyway (see :mod:`repro.graph.cache`), discarding any plan
-that fails to reproduce the traced output.
+replay output is bit-identical to eager on both FP8 decode paths (the
+compiled kernel and numpy).  Writing through ``out=`` does not change
+results — numpy routes to the same ufunc/GEMM either way — and the plan cache
+verifies the property at compile time anyway (see :mod:`repro.graph.cache`),
+discarding any plan that fails to reproduce the traced output.
 
 Buffer policy
 -------------

@@ -239,7 +239,7 @@ class ServingEngine:
         ``"process"``: N worker *processes*, each building its own replica
         (from the checkpoint via :meth:`from_checkpoint`, or from this
         pickled template model) and serving batches over a pipe — GIL-free
-        scale-out whose crash isolation extends to native-tier segfaults,
+        scale-out whose crash isolation extends to native-kernel segfaults,
         OOM kills and ``SIGKILL``: any process death surfaces as the same
         :class:`~repro.serving.errors.WorkerCrashed` + requeue + restart
         flow as a thread death.  Results are bit-identical to thread/cached

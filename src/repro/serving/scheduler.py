@@ -26,7 +26,11 @@ buckets** and continuous admission:
 Deadlines are honoured on both sides of admission: a bucket closes early so a
 tight-deadline request starts before its deadline, and a request whose
 deadline passes while still queued fails with :class:`DeadlineExceeded`
-instead of silently running late.
+instead of silently running late.  A consumer that was idle in a timed wait
+judges readiness and expiry at the earlier of now and the time that wait was
+due to end, so a thread the host wakes late does not charge its own wake-up
+delay to the request; a consumer that arrives late because it was busy
+judges at now, and still expires the request.
 
 Overload control
 ----------------
@@ -407,15 +411,21 @@ class ContinuousScheduler:
         """
         while True:
             with self._cond:
+                due = None  # when this consumer's timed wait was due to end
                 while True:
                     now = time.monotonic()
+                    if due is not None:
+                        now = min(now, due)
                     key = self._ready_key_locked(now)
                     if key is not None:
                         group, dropped = self._pop_locked(key, now)
                         break
                     if self._closed and not any(self._buckets.values()):
                         return None
-                    self._cond.wait(timeout=self._next_ready_in_locked(now))
+                    due = self._next_ready_at_locked()
+                    self._cond.wait(
+                        timeout=None if due is None else max(due - time.monotonic(), 1e-4)
+                    )
             expired = 0
             for request in dropped:
                 # a request cancelled by its client is not an expiry — fail()
@@ -459,14 +469,12 @@ class ContinuousScheduler:
                 best_key, best_urgency = key, head
         return best_key
 
-    def _next_ready_in_locked(self, now: float) -> Optional[float]:
-        """Seconds until the earliest bucket becomes ready (None = wait for traffic)."""
-        waits = [
-            self._ready_at_locked(key) - now for key, bucket in self._buckets.items() if bucket
-        ]
-        if not waits:
-            return None
-        return max(min(waits), 1e-4)
+    def _next_ready_at_locked(self) -> Optional[float]:
+        """When the earliest bucket becomes ready (None = wait for traffic)."""
+        return min(
+            (self._ready_at_locked(key) for key, bucket in self._buckets.items() if bucket),
+            default=None,
+        )
 
     def _pop_locked(self, key: Tuple, now: float) -> Tuple[List[Request], List[Request]]:
         """Take the most urgent ``max_batch_size`` alive requests from ``key``."""

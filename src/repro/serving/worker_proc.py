@@ -366,5 +366,5 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             except WorkerProcessDied:
                 return
         # a BaseException here (injected crash semantics, KeyboardInterrupt,
-        # a native-tier abort) propagates and kills the process: the parent
+        # a native-kernel abort) propagates and kills the process: the parent
         # sees EOF and runs the same recovery as for a signal death

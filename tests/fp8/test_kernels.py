@@ -6,8 +6,6 @@ both signs of every magnitude), on random tensors in float32 and float64, and
 on every special case — NaN, ±inf, ±0, subnormals and exact ties.
 """
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,18 +14,14 @@ from hypothesis import strategies as st
 from repro.fp8 import E2M5, E3M4, E4M3, E5M2
 from repro.fp8 import kernels
 from repro.fp8.kernels import (
-    KERNEL_ENV_VAR,
     fp8_decode_fast,
     fp8_decode_reference,
     fp8_encode_fast,
     fp8_encode_reference,
     fp8_round_fast,
     fp8_round_reference,
-    get_active_kernel,
-    set_kernel,
-    use_kernel,
 )
-from repro.fp8.quantize import fp8_round, quantize_dequantize
+from repro.fp8.quantize import compute_scale, quantize_dequantize
 
 FORMATS = [E5M2, E4M3, E3M4, E2M5]
 ALL_CODES = np.arange(256, dtype=np.int64)
@@ -90,88 +84,6 @@ def random_values(fmt, seed=0, n=5000):
     )
 
 
-class TestDispatch:
-    def test_fast_is_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert get_active_kernel() == "fast"
-
-    def test_set_kernel_and_reset(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        set_kernel("reference")
-        try:
-            assert get_active_kernel() == "reference"
-        finally:
-            set_kernel(None)
-        assert get_active_kernel() == "fast"
-
-    def test_use_kernel_restores(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        with use_kernel("reference"):
-            assert get_active_kernel() == "reference"
-            with use_kernel("fast"):
-                assert get_active_kernel() == "fast"
-            assert get_active_kernel() == "reference"
-        assert get_active_kernel() == "fast"
-
-    def test_env_var_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert get_active_kernel() == "reference"
-
-    def test_invalid_names_raise(self, monkeypatch):
-        with pytest.raises(ValueError):
-            set_kernel("turbo")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(ValueError):
-            get_active_kernel()
-
-    def test_fp8_round_dispatches(self):
-        x = np.array([1.05, -3.7, 0.0])
-        with use_kernel("reference"):
-            ref = fp8_round(x, E4M3)
-        with use_kernel("fast"):
-            fast = fp8_round(x, E4M3)
-        assert_bitequal(ref, fast)
-
-    def test_override_is_thread_local(self, monkeypatch):
-        # regression: the override used to be a module global, racing when
-        # engine workers or concurrent tests toggled kernels — each thread
-        # must now see only its own use_kernel selection
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        n_threads, rounds = 4, 50
-        kernels_by_thread = ["fast", "reference"] * (n_threads // 2)
-        barrier = threading.Barrier(n_threads)
-        failures = []
-
-        def worker(kernel):
-            barrier.wait()
-            for _ in range(rounds):
-                with use_kernel(kernel):
-                    if get_active_kernel() != kernel:
-                        failures.append(kernel)
-            if get_active_kernel() != "fast":
-                failures.append(f"{kernel}: override leaked after use_kernel")
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in kernels_by_thread]
-        with use_kernel("reference"):
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert get_active_kernel() == "reference"
-        assert not failures
-
-    def test_worker_threads_do_not_inherit_override(self, monkeypatch):
-        # thread-locals do not inherit: a worker spawned inside a use_kernel
-        # block falls through to the env/default (documented semantics)
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        seen = []
-        with use_kernel("reference"):
-            t = threading.Thread(target=lambda: seen.append(get_active_kernel()))
-            t.start()
-            t.join()
-        assert seen == ["fast"]
-
-
 class TestExhaustiveCodeEquivalence:
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
     def test_decode_all_256_codes_bitmatch(self, fmt):
@@ -230,52 +142,55 @@ class TestRandomTensorEquivalence:
         assert_bitequal(fp8_round_reference(empty, E4M3), fp8_round_fast(empty, E4M3))
 
 
+def reference_qdq(x, fmt, scale):
+    """The unfused Q/DQ round trip on the reference round: the fused kernels' oracle."""
+    q = fp8_round_reference(np.asarray(x, dtype=np.float64) * scale, fmt)
+    return (q / scale).astype(np.float32)
+
+
 class TestFusedQuantizeDequantize:
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
     @pytest.mark.parametrize("axis", [None, 0])
     def test_qdq_bitmatch_between_kernels(self, fmt, axis):
         x = np.random.default_rng(7).normal(0, 3, (16, 24))
-        with use_kernel("reference"):
-            ref = quantize_dequantize(x, fmt, axis=axis)
-        with use_kernel("fast"):
-            fast = quantize_dequantize(x, fmt, axis=axis)
-        assert_bitequal(ref, fast)
+        ref = reference_qdq(x, fmt, compute_scale(x, fmt, axis=axis))
+        assert_bitequal(ref, quantize_dequantize(x, fmt, axis=axis))
 
     def test_qdq_explicit_scale_bitmatch(self):
         x = np.random.default_rng(8).normal(size=300).astype(np.float32)
         scale = np.asarray(3.7)
-        with use_kernel("reference"):
-            ref = quantize_dequantize(x, E3M4, scale=scale)
-        with use_kernel("fast"):
-            fast = quantize_dequantize(x, E3M4, scale=scale)
-        assert_bitequal(ref, fast)
+        ref = reference_qdq(x, E3M4, scale)
+        assert_bitequal(ref, quantize_dequantize(x, E3M4, scale=scale))
 
     def test_qdq_propagates_nan(self):
         out = quantize_dequantize(np.array([np.nan, 1.0]), E4M3, scale=np.asarray(1.0))
         assert np.isnan(out[0]) and not np.isnan(out[1])
 
 
+ROUND_FUNCTIONS = [
+    pytest.param(fp8_round_fast, id="fast"),
+    pytest.param(fp8_round_reference, id="reference"),
+]
+
+
 class TestRoundProperties:
-    """Property-style guarantees: fp8_round is idempotent and monotone per format."""
+    """Property-style guarantees: both round functions are idempotent and monotone."""
 
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    @pytest.mark.parametrize("kernel", ["fast", "reference"])
-    def test_idempotent_on_dense_sample(self, fmt, kernel):
+    @pytest.mark.parametrize("round_fn", ROUND_FUNCTIONS)
+    def test_idempotent_on_dense_sample(self, fmt, round_fn):
         x = np.concatenate([random_values(fmt, seed=11), tie_values(fmt)])
-        with use_kernel(kernel):
-            once = fp8_round(x, fmt)
-            twice = fp8_round(once, fmt)
+        once = round_fn(x, fmt)
+        twice = round_fn(once, fmt)
         # value-level equality: rounding a -0.0 result again normalises it to
         # +0.0 (reference semantics, faithfully replicated by the fast kernel)
         assert np.array_equal(once, twice, equal_nan=True)
 
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    @pytest.mark.parametrize("kernel", ["fast", "reference"])
-    def test_monotone_on_sorted_sample(self, fmt, kernel):
+    @pytest.mark.parametrize("round_fn", ROUND_FUNCTIONS)
+    def test_monotone_on_sorted_sample(self, fmt, round_fn):
         x = np.sort(np.concatenate([random_values(fmt, seed=13), tie_values(fmt)]))
-        with use_kernel(kernel):
-            rounded = fp8_round(x, fmt)
-        assert np.all(np.diff(rounded) >= 0)
+        assert np.all(np.diff(round_fn(x, fmt)) >= 0)
 
     @given(st.floats(-1e6, 1e6, allow_nan=False))
     @settings(max_examples=100, deadline=None)
@@ -292,19 +207,14 @@ class TestRoundProperties:
             assert lo <= hi
 
 
-class TestFormatMethodsDispatch:
+class TestFormatMethods:
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    def test_format_encode_decode_respect_kernel(self, fmt):
+    def test_format_encode_decode_match_reference(self, fmt):
         x = np.concatenate([random_values(fmt, seed=5, n=500), special_values(fmt)])
-        with use_kernel("reference"):
-            codes_ref = fmt.encode(x)
-            dec_ref = fmt.decode(codes_ref)
-        with use_kernel("fast"):
-            codes_fast = fmt.encode(x)
-            dec_fast = fmt.decode(codes_fast)
-        np.testing.assert_array_equal(codes_ref, codes_fast)
-        assert_bitequal(dec_ref, dec_fast)
-        assert codes_fast.dtype == np.uint8
+        codes = fmt.encode(x)
+        np.testing.assert_array_equal(fp8_encode_reference(x, fmt), codes)
+        assert_bitequal(fp8_decode_reference(codes, fmt), fmt.decode(codes))
+        assert codes.dtype == np.uint8
 
     def test_nan_encodes_to_canonical_code(self):
         for fmt in FORMATS:

@@ -4,23 +4,23 @@ The contract under test (see the memory model in :mod:`repro.fp8.quantize`):
 
 * ``QuantizedTensor.quantize(x, fmt, ...).dequantize()`` is bit-identical to
   the value-domain round trip (``quantize_dequantize`` for FP8,
-  ``int8_quantize_dequantize`` for INT8) on both kernels — the packed codes
-  are storage, not a different quantizer;
+  ``int8_quantize_dequantize`` for INT8) on both decode paths, the compiled
+  kernel and numpy — the packed codes are storage, not a different quantizer;
 * the fused per-axis Q/DQ is bit-identical to the unfused
-  ``compute_scale`` + ``quantize_dequantize(scale=...)`` sequence, including
-  on the ``reference`` kernel (the acceptance criterion);
+  ``compute_scale`` + ``quantize_dequantize(scale=...)`` sequence;
 * packed storage costs ~¼ of dense float32 bytes.
 """
 
 import numpy as np
 import pytest
 
-from repro.fp8 import E2M5, E3M4, E4M3, E5M2, use_kernel
+from repro.fp8 import E2M5, E3M4, E4M3, E5M2
 from repro.fp8.int8 import (
     INT8_ASYMMETRIC,
     INT8_SYMMETRIC,
     int8_quantize_dequantize,
 )
+from repro.fp8.kernels import fp8_round_reference
 from repro.fp8.quantize import (
     QuantizedTensor,
     compute_scale,
@@ -29,7 +29,6 @@ from repro.fp8.quantize import (
 )
 
 FORMATS = [E5M2, E4M3, E3M4, E2M5]
-KERNELS = ["fast", "reference"]
 
 
 def _random(shape=(16, 32), seed=0, scale=3.0):
@@ -38,33 +37,27 @@ def _random(shape=(16, 32), seed=0, scale=3.0):
 
 class TestPackedFp8RoundTrip:
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_scale1_roundtrip_bitmatches_fp8_round(self, fmt, kernel):
+    def test_scale1_roundtrip_bitmatches_fp8_round(self, fmt, decode):
         x = _random(seed=1)
-        with use_kernel(kernel):
-            qt = QuantizedTensor.quantize(x, fmt, scale=np.asarray(1.0))
-            expected = fp8_round(x, fmt)
+        qt = QuantizedTensor.quantize(x, fmt, scale=np.asarray(1.0))
+        expected = fp8_round(x, fmt)
         assert qt.codes.dtype == np.uint8
         deq = qt.dequantize()
         assert deq.dtype == np.float32
         assert np.array_equal(deq, expected)
 
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("axis", [None, 0, 1])
-    def test_roundtrip_bitmatches_qdq(self, fmt, kernel, axis):
+    def test_roundtrip_bitmatches_qdq(self, fmt, decode, axis):
         x = _random(seed=2)
-        with use_kernel(kernel):
-            qt = QuantizedTensor.quantize(x, fmt, axis=axis)
-            expected = quantize_dequantize(x, fmt, axis=axis)
+        qt = QuantizedTensor.quantize(x, fmt, axis=axis)
+        expected = quantize_dequantize(x, fmt, axis=axis)
         assert np.array_equal(qt.dequantize(), expected)
 
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_specials(self, fmt, kernel):
+    def test_specials(self, fmt, decode):
         x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0], dtype=np.float32)
-        with use_kernel(kernel):
-            qt = QuantizedTensor.quantize(x, fmt, scale=np.asarray(1.0))
+        qt = QuantizedTensor.quantize(x, fmt, scale=np.asarray(1.0))
         deq = qt.dequantize()
         assert np.isnan(deq[0])
         # infinities saturate to +-max_value on the way in
@@ -76,12 +69,10 @@ class TestPackedFp8RoundTrip:
         assert deq[4] == 0.0 and np.signbit(deq[4])
         assert deq[5] == pytest.approx(1.0, rel=0.1)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_per_channel_roundtrip_quality(self, kernel):
+    def test_per_channel_roundtrip_quality(self, decode):
         # channels with wildly different ranges stay accurate independently
         x = np.stack([np.full(32, 0.01), np.full(32, 10.0)]).astype(np.float32)
-        with use_kernel(kernel):
-            qt = QuantizedTensor.quantize(x, E4M3, axis=0)
+        qt = QuantizedTensor.quantize(x, E4M3, axis=0)
         deq = qt.dequantize()
         assert np.allclose(deq[0], 0.01, rtol=0.07)
         assert np.allclose(deq[1], 10.0, rtol=0.07)
@@ -131,18 +122,21 @@ class TestPackedInt8RoundTrip:
 
 class TestFusedVsUnfused:
     @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "round_fn",
+        [pytest.param(fp8_round, id="fast"), pytest.param(fp8_round_reference, id="reference")],
+    )
     @pytest.mark.parametrize("axis", [None, 0])
-    def test_fused_axis_qdq_bitmatches_unfused(self, fmt, kernel, axis):
+    def test_fused_axis_qdq_bitmatches_unfused(self, fmt, round_fn, axis):
         x = _random((32, 48), seed=6)
-        with use_kernel(kernel):
-            fused = quantize_dequantize(x, fmt, axis=axis)
-            scale = compute_scale(x, fmt, axis=axis)
-            # the old unfused pipeline: separate absmax pass, materialised
-            # broadcast scale array, then scale->round->rescale
-            scale_full = np.ascontiguousarray(np.broadcast_to(scale, x.shape))
-            q = fp8_round(np.multiply(x, scale_full, dtype=np.float64), fmt)
-            unfused = (q / scale_full).astype(np.float32)
+        fused = quantize_dequantize(x, fmt, axis=axis)
+        scale = compute_scale(x, fmt, axis=axis)
+        # the old unfused pipeline: separate absmax pass, materialised
+        # broadcast scale array, then scale->round->rescale, on the public
+        # round and on the reference oracle
+        scale_full = np.ascontiguousarray(np.broadcast_to(scale, x.shape))
+        q = round_fn(np.multiply(x, scale_full, dtype=np.float64), fmt)
+        unfused = (q / scale_full).astype(np.float32)
         assert np.array_equal(fused, unfused)
 
 

@@ -3,7 +3,7 @@
 The KV-cache decode path's core contract is that it is an *optimisation*, not
 an approximation: greedy/beam generation through the float32 cache must
 reproduce the full-recompute loop token for token — on the float model and on
-a statically-quantized model under every FP8 kernel tier.  The FP8 cache
+a statically-quantized model on both FP8 decode paths.  The FP8 cache
 option trades that exactness for ~4x smaller decode state, which the quality
 tests bound.
 """
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import repro.nn as nn
 from repro.autograd.tensor import Tensor
-from repro.fp8.kernels import use_kernel
 from repro.models.transformer import DecodeState, GPTStyleLM, coerce_prompt
 from repro.quantization import Approach, quantize_model, standard_recipe
 
@@ -272,21 +271,19 @@ class TestCachedGenerationParity:
             full = model.generate(prompt, max_new_tokens=10, beam_size=beam_size, use_cache=False)
             np.testing.assert_array_equal(cached, full)
 
-    @pytest.mark.parametrize("kernel", ["fast", "reference", "native"])
-    def test_greedy_parity_on_quantized_model_per_kernel(self, kernel):
+    def test_greedy_parity_on_quantized_model_per_kernel(self, decode):
         rng = np.random.default_rng(11)
         calib = rng.integers(0, 32, size=(8, 12)).astype(np.int64)
         recipe = standard_recipe("E4M3", approach=Approach.STATIC)
-        with use_kernel(kernel):
-            qmodel = quantize_model(
-                small_lm(seed=3),
-                recipe,
-                calibration_data=[calib],
-                prepare_inputs=lambda x: x,
-            ).model.eval()
-            prompt = np.array([2, 4, 6], dtype=np.int64)
-            cached = qmodel.generate(prompt, max_new_tokens=12)
-            full = qmodel.generate(prompt, max_new_tokens=12, use_cache=False)
+        qmodel = quantize_model(
+            small_lm(seed=3),
+            recipe,
+            calibration_data=[calib],
+            prepare_inputs=lambda x: x,
+        ).model.eval()
+        prompt = np.array([2, 4, 6], dtype=np.int64)
+        cached = qmodel.generate(prompt, max_new_tokens=12)
+        full = qmodel.generate(prompt, max_new_tokens=12, use_cache=False)
         np.testing.assert_array_equal(cached, full)
 
     def test_eos_stops_at_first_emission(self):

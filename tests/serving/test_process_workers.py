@@ -149,8 +149,11 @@ def _assert_no_zombies(pids, timeout=10.0):
 
 
 class TestProcessServing:
-    def test_bit_identical_to_cached_single_worker(self, checkpoint):
-        """Deterministic groups through process workers == cached eager forward."""
+    def test_bit_identical_to_cached_single_worker(self, checkpoint, decode):
+        """Deterministic groups through process workers == cached eager forward.
+
+        On each decode path: the spawned workers inherit the masked compiler.
+        """
         samples = _samples(16, seed=5)
         with _process_engine(checkpoint, workers=2) as engine:
             outputs = engine.serve_batch(samples, timeout=60)

@@ -1,5 +1,6 @@
 """ContinuousScheduler: bucket admission, urgency ordering, windows, deadlines."""
 
+import threading
 import time
 from concurrent.futures import Future
 
@@ -15,6 +16,29 @@ from repro.serving.scheduler import (
 )
 
 _ORDER = iter(range(10_000))
+
+
+class _OversleepingCondition:
+    """A condition whose timed waits end ``oversleep_s`` late unless notified.
+
+    Stands in for a consumer thread that a loaded host schedules late.
+    """
+
+    def __init__(self, oversleep_s):
+        self._cond = threading.Condition()
+        self._oversleep_s = oversleep_s
+
+    def __enter__(self):
+        return self._cond.__enter__()
+
+    def __exit__(self, *exc):
+        return self._cond.__exit__(*exc)
+
+    def notify_all(self):
+        self._cond.notify_all()
+
+    def wait(self, timeout=None):
+        return self._cond.wait(None if timeout is None else timeout + self._oversleep_s)
 
 
 def _request(shape=(4,), priority=0, deadline=None):
@@ -138,6 +162,26 @@ class TestUrgency:
         elapsed = time.monotonic() - t0
         assert group == [request]
         assert elapsed < 1.0  # nowhere near the 5s window
+
+    def test_late_wakeup_does_not_expire_the_request(self):
+        # the window closes 2 ms before the deadline; a consumer whose timed
+        # wait ends 20 ms late must still hand the request out, not fail it
+        # and then wait for traffic with no timeout
+        scheduler = ContinuousScheduler(max_batch_size=8, max_wait_s=5.0)
+        scheduler._cond = _OversleepingCondition(oversleep_s=0.02)
+        request = _request(deadline=time.monotonic() + 0.05)
+        scheduler.add(request)
+        groups = []
+        consumer = threading.Thread(target=lambda: groups.append(scheduler.next_group()))
+        consumer.daemon = True
+        consumer.start()
+        consumer.join(1.0)
+        blocked = consumer.is_alive()
+        scheduler.close()
+        consumer.join(1.0)
+        assert not blocked, "next_group was still blocked 1 s after the deadline"
+        assert groups == [[request]]
+        assert not request.future.done()
 
     def test_expired_request_fails_with_deadline_exceeded(self):
         expired_counts = []
