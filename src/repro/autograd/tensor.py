@@ -1,8 +1,12 @@
 """The :class:`Tensor` class: numpy arrays with reverse-mode autodiff.
 
 Only the operations actually used by the model zoo and the quantization
-framework are implemented; each op records a backward closure on the tape.
-Gradient correctness is verified by the property-based tests in
+framework are implemented.  An op records a backward closure on the tape only
+when a gradient is needed — grad is enabled and some input requires grad.
+Otherwise (inference under :func:`no_grad`, or inputs that are all constants)
+it returns a bare result tensor with no parents and no closure, built without
+re-validating its float32 array.  Both paths compute the same array, bit for
+bit.  Gradient correctness is verified by the property-based tests in
 ``tests/autograd`` against numerical differentiation (:mod:`repro.autograd.gradcheck`).
 """
 
@@ -14,15 +18,24 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "needs_grad", "gelu_parts"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
+
+_FLOAT32 = np.dtype(np.float32)
+_new_object = object.__new__
+
 
 # Per-thread so concurrent forwards don't race: the serving engine's driver
 # thread runs its inference under no_grad while another thread may be
 # training or calibrating — a process-global flag would let one thread's
-# context exit clobber the other's state.
-_grad_state = threading.local()
+# context exit clobber the other's state.  The class-level default is what a
+# thread that never entered no_grad reads.
+class _GradState(threading.local):
+    enabled = True
+
+
+_grad_state = _GradState()
 
 
 @contextlib.contextmanager
@@ -37,8 +50,34 @@ def no_grad():
 
 
 def is_grad_enabled() -> bool:
-    """Whether operations on the current thread record backward closures."""
-    return getattr(_grad_state, "enabled", True)
+    """Whether operations on the current thread may record backward closures."""
+    return _grad_state.enabled
+
+
+def needs_grad(*tensors: Optional["Tensor"]) -> bool:
+    """Whether an op on ``tensors`` records a tape entry (``None`` entries are skipped).
+
+    True when grad is enabled on this thread and at least one input requires
+    grad; every op (and the grad-free forwards in
+    :mod:`repro.autograd.functional`) skips the tape otherwise.
+    """
+    return _grad_state.enabled and any(t is not None and t.requires_grad for t in tensors)
+
+
+#: sqrt(2/pi) in float32, the tanh-approximated GELU's inner scale
+_GELU_C = np.sqrt(2.0 / np.pi).astype(np.float32)
+
+
+def gelu_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximated GELU of a float32 array: ``(gelu(x), tanh term)``.
+
+    The one copy of GELU's array math: :meth:`Tensor.gelu` keeps the tanh
+    term for its backward, and compiled plans (:mod:`repro.graph.plan`) take
+    the output.  The cube is ``x * x * x`` because numpy raises float32 to a
+    power through ``powf``, one libm call per element.
+    """
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -71,7 +110,9 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float32)
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT32:
+            data = np.asarray(data, dtype=np.float32)
+        self.data = data
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Optional[Callable[[], None]] = None
@@ -128,18 +169,37 @@ class Tensor:
     def _as_tensor(x: ArrayLike) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
+    @staticmethod
+    def _wrap(data) -> "Tensor":
+        """A constant tensor over ``data``: ``Tensor(data)`` without ``__init__``.
+
+        An exact float32 ndarray is kept as is (what ``np.asarray`` would
+        return); anything else goes through the same conversion as
+        ``__init__``.
+        """
+        out = _new_object(Tensor)
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT32:
+            data = np.asarray(data, dtype=np.float32)
+        out.data = data
+        out.grad = None
+        out.requires_grad = False
+        out._backward = None
+        out._prev = ()
+        out.name = None
+        return out
+
     def _make(
         self,
         data: np.ndarray,
         parents: Sequence["Tensor"],
         backward: Callable[["Tensor"], None],
     ) -> "Tensor":
-        """Create a result tensor and register its backward closure."""
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _prev=parents if requires else ())
-        if requires:
+        """Create a result tensor; register its backward closure only if a gradient is needed."""
+        if _grad_state.enabled and any(p.requires_grad for p in parents):
+            out = Tensor(data, requires_grad=True, _prev=parents)
             out._backward = lambda: backward(out)
-        return out
+            return out
+        return Tensor._wrap(data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float32)
@@ -343,11 +403,10 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        inv = np.argsort(axes)
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                self._accumulate(out.grad.transpose(inv))
+                self._accumulate(out.grad.transpose(np.argsort(axes)))
 
         return self._make(self.data.transpose(axes), (self,), backward)
 
@@ -457,14 +516,11 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation (matches transformer usage)."""
         x = self.data
-        c = np.sqrt(2.0 / np.pi).astype(np.float32)
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        data = 0.5 * x * (1.0 + t)
+        data, t = gelu_parts(x)
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                dinner = c * (1.0 + 3 * 0.044715 * x**2)
+                dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
                 grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
                 self._accumulate(out.grad * grad)
 

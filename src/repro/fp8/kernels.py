@@ -452,7 +452,9 @@ def fp8_dequantize_channelwise(codes: np.ndarray, fmt: FP8Format, scale: np.ndar
     if out is not None:
         return out
     out = np.divide(fp8_decode_fast(codes, fmt), scale, dtype=np.float64)
-    return out.astype(np.float32, copy=False)
+    # np.asarray, not astype: 0-d codes divide to a numpy scalar, and both
+    # paths return an ndarray
+    return np.asarray(out, dtype=np.float32)
 
 
 def quantize_dequantize_axis(

@@ -36,6 +36,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -70,10 +71,26 @@ _decoders: Dict[FP8Format, Optional[ctypes.CFUNCTYPE]] = {}
 _warned: set = set()
 
 
+#: the ``repro.fp8`` package directory; warnings name the first frame outside it
+_FP8_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` for a warning raised here: the first frame outside ``repro.fp8``.
+
+    Walked rather than counted, because decodes reach the runtime through
+    call chains of different depths.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_FP8_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _warn_once(key: str, message: str) -> None:
     if key not in _warned:
         _warned.add(key)
-        warnings.warn(message, RuntimeWarning, stacklevel=4)
+        warnings.warn(message, RuntimeWarning, stacklevel=_caller_stacklevel())
 
 
 def compiler_path() -> Optional[str]:

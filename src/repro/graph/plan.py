@@ -9,14 +9,21 @@ eager forward would have made, in the same order.
 
 Bit-exactness contract
 ----------------------
-Every executor mirrors the *exact* numpy expression of the eager operator it
-replaces (including scalar coercions to ``float32`` and the ``x + (-y)``
-formulation :class:`~repro.autograd.tensor.Tensor` uses for subtraction), so
-replay output is bit-identical to eager on both FP8 decode paths (the
-compiled kernel and numpy).  Writing through ``out=`` does not change
-results — numpy routes to the same ufunc/GEMM either way — and the plan cache
-verifies the property at compile time anyway (see :mod:`repro.graph.cache`),
-discarding any plan that fails to reproduce the traced output.
+LayerNorm, Softmax and GELU steps call the same array functions the eager
+grad-free forwards run (:func:`~repro.autograd.functional.layer_norm_array`,
+:func:`~repro.autograd.functional.softmax_array`,
+:func:`~repro.autograd.tensor.gelu_parts`), so replay ≡ eager holds for them
+by construction.  The remaining executors mirror the *exact* numpy expression
+of the eager operator they replace (including scalar coercions to ``float32``
+and the ``x + (-y)`` formulation :class:`~repro.autograd.tensor.Tensor` uses
+for subtraction).  A Linear step writes ``x @ W.T`` and then ``+ b`` into its
+buffer — :func:`~repro.autograd.functional.linear_array` spelled inline, so
+the replay loop makes no extra call per layer.  Replay output is therefore
+bit-identical to eager on both FP8 decode paths (the compiled kernel and
+numpy).  Writing through ``out=`` does not change results — numpy routes to
+the same ufunc/GEMM either way — and the plan cache verifies the property at
+compile time anyway (see :mod:`repro.graph.cache`), discarding any plan that
+fails to reproduce the traced output.
 
 Buffer policy
 -------------
@@ -36,17 +43,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.functional import layer_norm_array, softmax_array
+from repro.autograd.tensor import Tensor, gelu_parts
 from repro.graph.ir import Graph, Node
 
 __all__ = ["Plan", "compile_plan"]
 
-#: mirrors Tensor.gelu's per-call constant (deterministic, so hoisting is safe)
-_GELU_C = np.sqrt(2.0 / np.pi).astype(np.float32)
-
 
 # ----------------------------------------------------------------------
-# elementwise mirrors (exact expressions from autograd.tensor)
+# elementwise mirrors (exact expressions from autograd.tensor; GELU shares
+# its function)
 # ----------------------------------------------------------------------
 def _relu_to(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     # Tensor.relu: self.data * (self.data > 0)
@@ -69,10 +75,7 @@ def _tanh_to(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def _gelu_fresh(src: np.ndarray) -> np.ndarray:
-    # Tensor.gelu (tanh approximation), verbatim
-    inner = _GELU_C * (src + 0.044715 * src**3)
-    t = np.tanh(inner)
-    return 0.5 * src * (1.0 + t)
+    return gelu_parts(src)[0]
 
 
 def _silu_fresh(src: np.ndarray) -> np.ndarray:
@@ -304,16 +307,7 @@ def _c_softmax(node, graph, fresh):
     out = node.output
 
     def fn(env, buf):
-        # functional.softmax: (x - max).exp() / sum — Tensor subtraction is
-        # x + (-y), mirrored here exactly
-        x = env[a]
-        m = x.max(axis=axis, keepdims=True)
-        np.negative(m, out=m)
-        np.add(x, m, out=buf)
-        np.exp(buf, out=buf)
-        s = buf.sum(axis=axis, keepdims=True)
-        np.divide(buf, s, out=buf)
-        env[out] = buf
+        env[out] = softmax_array(env[a], axis, out=buf)
 
     return fn, _out_spec(graph, node), False
 
@@ -361,20 +355,9 @@ def _c_layer_norm(node, graph, fresh):
     out = node.output
 
     def fn(env, buf):
-        # mirrors functional.layer_norm through the Tensor op decompositions:
-        # mean/var are sum * (1/count), subtraction is x + (-y), and the same
-        # centered array feeds both the variance and the normalisation (the
-        # eager recomputation is deterministic, so sharing it is bit-safe)
-        x = env[a]
-        inv = np.float32(1.0 / x.shape[-1])
-        mean = x.sum(axis=-1, keepdims=True) * inv
-        centered = np.add(x, np.negative(mean))
-        var = (centered**2).sum(axis=-1, keepdims=True) * inv
-        std = np.sqrt(np.add(var, np.float32(module.eps)))
-        x_hat = np.divide(centered, std)
-        np.multiply(x_hat, module.weight.data, out=buf)
-        np.add(buf, module.bias.data, out=buf)
-        env[out] = buf
+        env[out] = layer_norm_array(
+            env[a], module.weight.data, module.bias.data, module.eps, out=buf
+        )
 
     return fn, _out_spec(graph, node), False
 

@@ -337,7 +337,10 @@ def build_task(name: str, cache=None, force_retrain: bool = False) -> TaskBundle
     )
 
 
-_RECIPE_VERSION = "r3"
+#: part of every zoo cache key: bump it whenever training numerics change, so
+#: weights cached by an older build are retrained instead of served (r4: GELU
+#: cubes with ``x * x * x``)
+_RECIPE_VERSION = "r4"
 
 
 def _cache_key(spec: ModelSpec) -> str:

@@ -38,6 +38,8 @@ __all__ = ["BatchMatMul", "KVCache", "MultiHeadSelfAttention"]
 
 #: index of the K/V axis of cache storage, shaped to broadcast against pair indices
 _KV = np.array([[0], [1]])
+#: additive attention-mask values for a visible and a hidden position
+_SEEN, _HIDDEN = np.float32(0.0), np.float32(-1e9)
 
 
 class KVCache:
@@ -111,7 +113,7 @@ class KVCache:
         if rows is None:
             return np.arange(self.rows)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
+        if rows.size and (np.minimum.reduce(rows) < 0 or np.maximum.reduce(rows) >= self.rows):
             raise IndexError(f"cache row index out of range for {self.rows} rows")
         return rows
 
@@ -126,7 +128,7 @@ class KVCache:
         lens = lens.astype(np.int64, copy=False).reshape(-1)
         if lens.size != rows.size:
             raise ValueError(f"expected one new length per row ({rows.size}), got {lens.size}")
-        if lens.size and (lens.min() < 0 or lens.max() > s):
+        if lens.size and (np.minimum.reduce(lens) < 0 or np.maximum.reduce(lens) > s):
             i = int(np.flatnonzero((lens < 0) | (lens > s))[0])
             raise ValueError(
                 f"new_lens[{i}] = {int(lens[i])} for cache row {int(rows[i])} is outside "
@@ -162,9 +164,10 @@ class KVCache:
                 f"{self.head_dim}), got {k.shape} and {v.shape}"
             )
         new_lens = self._resolve_new_lens(new_lens, rows, s)
-        starts = self.lengths[rows].copy()
-        if np.any(starts + new_lens > self.capacity):
-            worst = int(np.max(starts + new_lens))
+        starts = self.lengths[rows]  # a copy: rows is an index array
+        ends = starts + new_lens
+        if ends.size and np.maximum.reduce(ends) > self.capacity:
+            worst = int(np.maximum.reduce(ends))
             raise RuntimeError(
                 f"KV cache overflow: appending would need {worst} cached tokens "
                 f"but capacity is {self.capacity}"
@@ -172,7 +175,7 @@ class KVCache:
         # every (row, token) pair that carries a new token, gathered into one
         # (K/V, pairs, H, D) block; the K/V index broadcasts against the pair
         # indices, and the slice between them puts those two axes first
-        src, token = np.nonzero(np.arange(s) < new_lens[:, None])
+        src, token = (np.arange(s) < new_lens[:, None]).nonzero()
         where = (_KV, rows[src], slice(None), starts[src] + token)
         block = np.array([k[src, :, token], v[src, :, token]])
         if self.fmt is None:
@@ -183,7 +186,7 @@ class KVCache:
             codes, scales = fp8_quantize_channelwise(block, self.fmt, axis=(0, 1, 2))
             self._codes[where] = codes
             self._scales[where] = scales
-        self.lengths[rows] = starts + new_lens
+        self.lengths[rows] = ends
         return starts
 
     def dense(self, rows=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,8 +197,8 @@ class KVCache:
         own length, which callers mask out.
         """
         rows = self._resolve_rows(rows)
-        lens = self.lengths[rows].copy()
-        t = int(lens.max()) if lens.size else 0
+        lens = self.lengths[rows]  # a copy: rows is an index array
+        t = int(np.maximum.reduce(lens)) if lens.size else 0
         if self.fmt is None:
             return self._kv[0, rows, :, :t], self._kv[1, rows, :, :t], lens
         from repro.fp8.kernels import fp8_dequantize_channelwise
@@ -365,8 +368,8 @@ class MultiHeadSelfAttention(Module):
         j = np.arange(t).reshape(1, 1, t)
         positions = starts[:, None] + np.arange(s)[None, :]
         allowed = (j <= positions[:, :, None]) & (j < totals[:, None, None])
-        mask = np.where(allowed, np.float32(0.0), np.float32(-1e9))
-        scores = scores + Tensor(mask.reshape(b, 1, s, t).astype(np.float32))
+        mask = np.where(allowed, _SEEN, _HIDDEN)
+        scores = scores + Tensor(mask.reshape(b, 1, s, t))
         probs = F.softmax(scores, axis=-1)
         probs = self.dropout(probs)
         context = self.value_matmul(probs, Tensor(values))

@@ -6,6 +6,8 @@ both signs of every magnitude), on random tensors in float32 and float64, and
 on every special case — NaN, ±inf, ±0, subnormals and exact ties.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.fp8 import kernels
 from repro.fp8.kernels import (
     fp8_decode_fast,
     fp8_decode_reference,
+    fp8_dequantize_channelwise,
     fp8_encode_fast,
     fp8_encode_reference,
     fp8_round_fast,
@@ -225,3 +228,22 @@ class TestFormatMethods:
         lut = kernels._decode_lut(E4M3)
         assert lut is kernels._decode_lut(E4M3)
         assert not lut.flags.writeable
+
+
+class TestChannelwiseDecode:
+    def test_0d_codes_decode_to_a_0d_array(self, decode):
+        # the C kernel and the numpy path return the same type and bits
+        out = fp8_dequantize_channelwise(np.uint8(56), E4M3, np.asarray(2.0))
+        assert type(out) is np.ndarray
+        assert out.shape == ()
+        want = (fp8_decode_reference(np.array([56]), E4M3) / 2.0).astype(np.float32)
+        assert_bitequal(out.reshape(1), want)
+
+    def test_no_compiler_warning_names_the_caller(self, mask_compiler):
+        mask_compiler()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fp8_dequantize_channelwise(np.zeros((2, 3), np.uint8), E4M3, np.ones((2, 1)))
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(warned) == 1
+        assert warned[0].filename == __file__
