@@ -10,14 +10,13 @@ Inference forwards
 ------------------
 :func:`linear`, :func:`layer_norm` and :func:`softmax` check once whether a
 gradient is needed (:func:`~repro.autograd.tensor.needs_grad`).  When none
-is, they run their numpy ufunc sequence directly — :func:`linear_array`,
-:func:`layer_norm_array`, :func:`softmax_array` — and wrap only the result,
+is, they run their numpy ufunc sequence directly (``x @ W.T`` then ``+ b``;
+:func:`layer_norm_array`; :func:`softmax_array`) and wrap only the result,
 instead of building a tensor per sub-op.  Each sequence is the one the taped
 decomposition performs (mean and variance as ``sum * float32(1/n)``,
 subtraction as ``x + (-y)``), so both paths give the same bits.  Compiled
 plans (:mod:`repro.graph.plan`) call :func:`layer_norm_array` and
-:func:`softmax_array` with ``out=`` set to their preallocated buffers, and
-spell :func:`linear_array` inline.
+:func:`softmax_array` with ``out=`` set to their preallocated buffers.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.autograd.tensor import Tensor, needs_grad
 
 __all__ = [
     "linear",
-    "linear_array",
     "matmul",
     "conv2d",
     "max_pool2d",
@@ -57,23 +55,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 # dense / matmul
 # ----------------------------------------------------------------------
-def linear_array(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """:func:`linear` on arrays: ``x @ weight.T``, then ``+ bias``, written to ``out`` if given."""
-    y = np.matmul(x, np.swapaxes(weight, -1, -2) if weight.ndim > 2 else weight.T, out=out)
-    return y if bias is None else np.add(y, bias, out=out)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``y = x @ weight.T + bias`` with ``weight`` of shape (out, in)."""
     if not needs_grad(x, weight, bias):
-        return Tensor._wrap(
-            linear_array(x.data, weight.data, None if bias is None else bias.data)
-        )
+        w = weight.data
+        y = np.matmul(x.data, np.swapaxes(w, -1, -2) if w.ndim > 2 else w.T)
+        return Tensor(y if bias is None else y + bias.data)
     out = x.matmul(weight.swapaxes(-1, -2) if weight.ndim > 2 else weight.transpose())
     if bias is not None:
         out = out + bias
@@ -383,9 +370,9 @@ def layer_norm_array(
     feeds both the variance and the normalisation.
     """
     inv = np.float32(1.0 / x.shape[-1])
-    mean = np.add.reduce(x, axis=-1, keepdims=True) * inv
+    mean = x.sum(axis=-1, keepdims=True) * inv
     centered = np.add(x, np.negative(mean))
-    var = np.add.reduce(centered**2, axis=-1, keepdims=True) * inv
+    var = (centered**2).sum(axis=-1, keepdims=True) * inv
     x_hat = np.divide(centered, np.sqrt(np.add(var, np.float32(eps))))
     return np.add(np.multiply(x_hat, weight, out=out), bias, out=out)
 
@@ -398,7 +385,7 @@ def layer_norm(
 ) -> Tensor:
     """Layer normalisation over the last dimension."""
     if not needs_grad(x, weight, bias):
-        return Tensor._wrap(layer_norm_array(x.data, weight.data, bias.data, eps))
+        return Tensor(layer_norm_array(x.data, weight.data, bias.data, eps))
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     x_hat = (x - mean) / (var + eps).sqrt()
@@ -410,15 +397,15 @@ def layer_norm(
 # ----------------------------------------------------------------------
 def softmax_array(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
     """:func:`softmax` on arrays, written to ``out`` if given (else to a fresh array)."""
-    e = np.add(x, np.negative(np.maximum.reduce(x, axis=axis, keepdims=True)), out=out)
+    e = np.add(x, np.negative(x.max(axis=axis, keepdims=True)), out=out)
     np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=axis, keepdims=True), out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     if not needs_grad(x):
-        return Tensor._wrap(softmax_array(x.data, axis))
+        return Tensor(softmax_array(x.data, axis))
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     e = shifted.exp()
     return e / e.sum(axis=axis, keepdims=True)

@@ -4,9 +4,10 @@ Only the operations actually used by the model zoo and the quantization
 framework are implemented.  An op records a backward closure on the tape only
 when a gradient is needed — grad is enabled and some input requires grad.
 Otherwise (inference under :func:`no_grad`, or inputs that are all constants)
-it returns a bare result tensor with no parents and no closure, built without
-re-validating its float32 array.  Both paths compute the same array, bit for
-bit.  Gradient correctness is verified by the property-based tests in
+it returns a bare result tensor with no parents and no closure (and
+:class:`Tensor` keeps a float32 ndarray as is instead of re-validating it).
+Both paths compute the same array, bit for bit.  Gradient correctness is
+verified by the property-based tests in
 ``tests/autograd`` against numerical differentiation (:mod:`repro.autograd.gradcheck`).
 """
 
@@ -23,7 +24,6 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "needs_grad", "gelu_parts"]
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 _FLOAT32 = np.dtype(np.float32)
-_new_object = object.__new__
 
 
 # Per-thread so concurrent forwards don't race: the serving engine's driver
@@ -169,25 +169,6 @@ class Tensor:
     def _as_tensor(x: ArrayLike) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    @staticmethod
-    def _wrap(data) -> "Tensor":
-        """A constant tensor over ``data``: ``Tensor(data)`` without ``__init__``.
-
-        An exact float32 ndarray is kept as is (what ``np.asarray`` would
-        return); anything else goes through the same conversion as
-        ``__init__``.
-        """
-        out = _new_object(Tensor)
-        if type(data) is not np.ndarray or data.dtype is not _FLOAT32:
-            data = np.asarray(data, dtype=np.float32)
-        out.data = data
-        out.grad = None
-        out.requires_grad = False
-        out._backward = None
-        out._prev = ()
-        out.name = None
-        return out
-
     def _make(
         self,
         data: np.ndarray,
@@ -199,7 +180,7 @@ class Tensor:
             out = Tensor(data, requires_grad=True, _prev=parents)
             out._backward = lambda: backward(out)
             return out
-        return Tensor._wrap(data)
+        return Tensor(data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float32)

@@ -16,14 +16,13 @@ grad-free forwards run (:func:`~repro.autograd.functional.layer_norm_array`,
 by construction.  The remaining executors mirror the *exact* numpy expression
 of the eager operator they replace (including scalar coercions to ``float32``
 and the ``x + (-y)`` formulation :class:`~repro.autograd.tensor.Tensor` uses
-for subtraction).  A Linear step writes ``x @ W.T`` and then ``+ b`` into its
-buffer — :func:`~repro.autograd.functional.linear_array` spelled inline, so
-the replay loop makes no extra call per layer.  Replay output is therefore
-bit-identical to eager on both FP8 decode paths (the compiled kernel and
-numpy).  Writing through ``out=`` does not change results — numpy routes to
-the same ufunc/GEMM either way — and the plan cache verifies the property at
-compile time anyway (see :mod:`repro.graph.cache`), discarding any plan that
-fails to reproduce the traced output.
+for subtraction); a Linear step writes ``x @ W.T`` and then ``+ b`` into its
+buffer, as :func:`~repro.autograd.functional.linear` computes them.  Replay
+output is therefore bit-identical to eager on both FP8 decode paths (the
+compiled kernel and numpy).  Writing through ``out=`` does not change results
+— numpy routes to the same ufunc/GEMM either way — and the plan cache verifies
+the property at compile time anyway (see :mod:`repro.graph.cache`), discarding
+any plan that fails to reproduce the traced output.
 
 Buffer policy
 -------------

@@ -225,15 +225,12 @@ class TransformerEncoderLayer(nn.Module):
         x: Tensor,
         causal: bool = False,
         cache=None,
-        rows=None,
-        new_lens=None,
+        step=None,
     ) -> Tensor:
         if cache is None:
             attended = self.attention(self.ln1(x), causal=causal)
         else:
-            attended = self.attention(
-                self.ln1(x), causal=causal, cache=cache, rows=rows, new_lens=new_lens
-            )
+            attended = self.attention(self.ln1(x), causal=causal, cache=cache, step=step)
         x = self.attn_add(x, attended)
         x = self.ffn_add(x, self.fc2(self.act(self.fc1(self.ln2(x)))))
         return x
@@ -386,21 +383,17 @@ class GPTStyleLM(nn.Module):
         if tokens.ndim != 2:
             raise ValueError(f"forward_step expects (rows, new_tokens) ids, got {tokens.shape}")
         _, s = tokens.shape
-        starts = state.lengths if rows is None else state.lengths[np.asarray(rows, dtype=np.int64)]
-        if new_lens is None:
-            limit = int(starts.max()) + s if starts.size else s
-        else:
-            valid = np.asarray(new_lens, dtype=np.int64)
-            limit = int(np.max(starts + valid)) if starts.size else s
-        if limit > self.max_seq_len:
+        # rows, lengths, write positions and mask are the same in every layer
+        step = nn.CacheStep(state.lengths, rows, new_lens, s)
+        if step.total > self.max_seq_len:
             raise RuntimeError(
-                f"decode step would reach {limit} cached tokens, past max_seq_len="
+                f"decode step would reach {step.total} cached tokens, past max_seq_len="
                 f"{self.max_seq_len}; the position embedding has no ids beyond it"
             )
-        positions = np.minimum(starts[:, None] + np.arange(s)[None, :], self.max_seq_len - 1)
+        positions = np.minimum(step.positions, self.max_seq_len - 1)
         x = self.embed_add(self.token_embedding(tokens), self.position_embedding(positions))
-        for index, layer in enumerate(self.layers):
-            x = layer(x, causal=True, cache=state.caches[index], rows=rows, new_lens=new_lens)
+        for layer, cache in zip(self.layers, state.caches):
+            x = layer(x, causal=True, cache=cache, step=step)
         return self.lm_head(self.final_ln(x))
 
     # ------------------------------------------------------------------

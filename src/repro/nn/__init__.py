@@ -11,7 +11,7 @@ from repro.nn.layers import Linear, Conv2d, Embedding, EmbeddingBag, Dropout, Fl
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, LayerNorm, GroupNorm
 from repro.nn.activations import ReLU, GELU, SiLU, Sigmoid, Tanh, Softmax
 from repro.nn.pooling import MaxPool2d, AvgPool2d, AdaptiveAvgPool2d
-from repro.nn.attention import KVCache, MultiHeadSelfAttention, BatchMatMul
+from repro.nn.attention import CacheStep, KVCache, MultiHeadSelfAttention, BatchMatMul
 from repro.nn.elementwise import Add, Mul
 from repro.nn import functional, init
 
@@ -40,6 +40,7 @@ __all__ = [
     "MaxPool2d",
     "AvgPool2d",
     "AdaptiveAvgPool2d",
+    "CacheStep",
     "KVCache",
     "MultiHeadSelfAttention",
     "BatchMatMul",

@@ -129,6 +129,83 @@ class TestKVCache:
         assert not cache._arrays()[0].any()
 
 
+class TestCacheStep:
+    """One step resolved once: the same writes, reads and mask as per-layer resolution."""
+
+    @pytest.mark.parametrize("storage", ["float32", "E4M3"])
+    def test_update_matches_append_then_dense(self, storage):
+        rng = np.random.default_rng(4)
+        stepped = nn.KVCache(rows=4, num_heads=2, head_dim=3, capacity=12, storage=storage)
+        reference = nn.KVCache(rows=4, num_heads=2, head_dim=3, capacity=12, storage=storage)
+        for rows, new_lens, s in [([2, 0, 3], [5, 2, 4], 5), ([0, 2], None, 1), ([3], [0], 2)]:
+            shape = (len(rows), 2, s, 3)
+            k = rng.standard_normal(shape).astype(np.float32)
+            v = rng.standard_normal(shape).astype(np.float32)
+            step = nn.CacheStep(stepped.lengths, rows, new_lens, s)
+            keys, values = stepped.update(k, v, step)
+            starts = reference.append(k, v, rows=rows, new_lens=new_lens)
+            want_k, want_v, lens = reference.dense(rows)
+            np.testing.assert_array_equal(step.starts, starts)
+            np.testing.assert_array_equal(step.ends, lens)
+            np.testing.assert_array_equal(keys.view(np.uint32), want_k.view(np.uint32))
+            np.testing.assert_array_equal(values.view(np.uint32), want_v.view(np.uint32))
+            np.testing.assert_array_equal(stepped.lengths, reference.lengths)
+            for a, b in zip(stepped._arrays(), reference._arrays()):
+                np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    def test_mask_sees_cached_and_earlier_new_tokens_of_its_own_row(self):
+        lengths = np.array([3, 0, 1], dtype=np.int64)
+        step = nn.CacheStep(lengths, rows=[0, 2], new_lens=[2, 1], s=2)
+        assert step.starts.tolist() == [3, 1]
+        assert step.ends.tolist() == [5, 2]
+        assert step.total == 5
+        assert step.mask.shape == (2, 1, 2, 5)
+        assert step.mask.dtype == np.float32
+        seen = step.mask[:, 0] == 0.0
+        # row 0: new tokens at positions 3 and 4 see 0..3 and 0..4
+        assert seen[0].tolist() == [[True] * 4 + [False], [True] * 5]
+        # row 2 (one cached token, one new at position 1): its padded second
+        # query sees no more than the row holds
+        assert seen[1].tolist() == [[True, True, False, False, False]] * 2
+
+    def test_bad_rows_and_new_lens_raise_on_construction(self):
+        lengths = np.zeros(2, dtype=np.int64)
+        with pytest.raises(IndexError, match="out of range"):
+            nn.CacheStep(lengths, rows=[2])
+        with pytest.raises(ValueError, match=r"new_lens\[0\] = 3"):
+            nn.CacheStep(lengths, rows=[1], new_lens=[3], s=2)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"new_lens": [2]}, ValueError, r"new_lens\[0\] = 2"),
+            ({"rows": [5]}, IndexError, "out of range"),
+        ],
+    )
+    def test_forward_step_rejects_a_bad_step_before_any_layer_writes(self, kwargs, error, match):
+        model = small_lm()
+        state = model.new_decode_state(2, storage="E4M3")
+        model.forward_step(np.array([[1, 2], [3, 4]]), state)
+        before = [[array.copy() for array in cache._arrays()] for cache in state.caches]
+        with pytest.raises(error, match=match):
+            model.forward_step(np.array([[5]]), state, **{"rows": [0], **kwargs})
+        for cache, arrays in zip(state.caches, before):
+            assert cache.lengths.tolist() == [2, 2]
+            for a, b in zip(cache._arrays(), arrays):
+                np.testing.assert_array_equal(a, b)
+
+    def test_capacity_overflow_raises_before_any_layer_writes(self):
+        model = small_lm()
+        state = model.new_decode_state(1, capacity=3)
+        model.forward_step(np.array([[1, 2, 3]]), state)
+        before = [cache._kv.copy() for cache in state.caches]
+        with pytest.raises(RuntimeError, match="overflow"):
+            model.forward_step(np.array([[4]]), state)
+        for cache, kv in zip(state.caches, before):
+            assert cache.lengths.tolist() == [3]
+            np.testing.assert_array_equal(cache._kv, kv)
+
+
 def append_per_row(cache, k, v, rows, new_lens):
     """The per-row write ``KVCache.append`` replaced: the bit-exact oracle.
 
