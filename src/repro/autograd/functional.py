@@ -6,17 +6,16 @@ the pooling, softmax and loss functions needed to train and evaluate the model
 zoo.  Convolution uses an im2col formulation so the heavy lifting stays inside
 vectorised numpy matmuls (see the performance guide: avoid Python loops).
 
-Inference forwards
+One forward per op
 ------------------
-:func:`linear`, :func:`layer_norm` and :func:`softmax` check once whether a
-gradient is needed (:func:`~repro.autograd.tensor.needs_grad`).  When none
-is, they run their numpy ufunc sequence directly (``x @ W.T`` then ``+ b``;
-:func:`layer_norm_array`; :func:`softmax_array`) and wrap only the result,
-instead of building a tensor per sub-op.  Each sequence is the one the taped
-decomposition performs (mean and variance as ``sum * float32(1/n)``,
-subtraction as ``x + (-y)``), so both paths give the same bits.  Compiled
-plans (:mod:`repro.graph.plan`) call :func:`layer_norm_array` and
-:func:`softmax_array` with ``out=`` set to their preallocated buffers.
+:func:`linear`, :func:`layer_norm` and :func:`softmax` are single
+primitives: each computes its array function once (``x @ W.T`` then ``+ b``;
+:func:`layer_norm_array`; :func:`softmax_array`) and hands the result to
+:meth:`~repro.autograd.tensor.Tensor._make`, which records one tape entry
+with a fused backward when a gradient is needed and none otherwise.  So
+training, eager inference and compiled plans (:mod:`repro.graph.plan`, which
+call :func:`layer_norm_array` and :func:`softmax_array` with ``out=`` set to
+their preallocated buffers) run the same forward, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, needs_grad
+from repro.autograd.tensor import Tensor
 
 __all__ = [
     "linear",
@@ -57,14 +56,24 @@ __all__ = [
 # ----------------------------------------------------------------------
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``y = x @ weight.T + bias`` with ``weight`` of shape (out, in)."""
-    if not needs_grad(x, weight, bias):
-        w = weight.data
-        y = np.matmul(x.data, np.swapaxes(w, -1, -2) if w.ndim > 2 else w.T)
-        return Tensor(y if bias is None else y + bias.data)
-    out = x.matmul(weight.swapaxes(-1, -2) if weight.ndim > 2 else weight.transpose())
+    w = weight.data
+    y = np.matmul(x.data, w.T)
     if bias is not None:
-        out = out + bias
-    return out
+        y = y + bias.data
+
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        if x.requires_grad:
+            x._accumulate(g @ w)
+        # the weight and bias gradients sum over every leading axis of x
+        g2 = g.reshape(-1, w.shape[0])
+        if weight.requires_grad:
+            weight._accumulate(g2.T @ x.data.reshape(-1, w.shape[1]))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2.sum(axis=0))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return x._make(y, parents, backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -356,6 +365,20 @@ def batch_norm(
     return x_hat * weight.reshape(*shape) + bias.reshape(*shape)
 
 
+def _normalize(x: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(x_hat, std)`` of ``x`` over its last axis: the core of :func:`layer_norm`.
+
+    :func:`layer_norm`'s backward calls this again, so the forward (which
+    plans run with ``out=``) keeps no temporaries.
+    """
+    inv = np.float32(1.0 / x.shape[-1])
+    mean = x.sum(axis=-1, keepdims=True) * inv
+    centered = np.add(x, np.negative(mean))
+    var = (centered**2).sum(axis=-1, keepdims=True) * inv
+    std = np.sqrt(np.add(var, np.float32(eps)))
+    return np.divide(centered, std), std
+
+
 def layer_norm_array(
     x: np.ndarray,
     weight: np.ndarray,
@@ -363,17 +386,8 @@ def layer_norm_array(
     eps: float = 1e-5,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """:func:`layer_norm` on arrays, written to ``out`` if given.
-
-    The taped decomposition computes ``x - mean`` twice (once inside
-    ``var``); the recomputation is deterministic, so one centered array
-    feeds both the variance and the normalisation.
-    """
-    inv = np.float32(1.0 / x.shape[-1])
-    mean = x.sum(axis=-1, keepdims=True) * inv
-    centered = np.add(x, np.negative(mean))
-    var = (centered**2).sum(axis=-1, keepdims=True) * inv
-    x_hat = np.divide(centered, np.sqrt(np.add(var, np.float32(eps))))
+    """:func:`layer_norm` on arrays, written to ``out`` if given."""
+    x_hat, _ = _normalize(x, eps)
     return np.add(np.multiply(x_hat, weight, out=out), bias, out=out)
 
 
@@ -384,12 +398,22 @@ def layer_norm(
     eps: float = 1e-5,
 ) -> Tensor:
     """Layer normalisation over the last dimension."""
-    if not needs_grad(x, weight, bias):
-        return Tensor(layer_norm_array(x.data, weight.data, bias.data, eps))
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    x_hat = (x - mean) / (var + eps).sqrt()
-    return x_hat * weight + bias
+
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        x_hat, std = _normalize(x.data, eps)
+        lead = tuple(range(g.ndim - 1))
+        if weight.requires_grad:
+            weight._accumulate((g * x_hat).sum(axis=lead))
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=lead))
+        if x.requires_grad:
+            g_hat = g * weight.data
+            proj = (g_hat * x_hat).mean(axis=-1, keepdims=True)
+            x._accumulate((g_hat - g_hat.mean(axis=-1, keepdims=True) - x_hat * proj) / std)
+
+    data = layer_norm_array(x.data, weight.data, bias.data, eps)
+    return x._make(data, (x, weight, bias), backward)
 
 
 # ----------------------------------------------------------------------
@@ -404,11 +428,13 @@ def softmax_array(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = Non
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    if not needs_grad(x):
-        return Tensor(softmax_array(x.data, axis))
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+
+    def backward(out: Tensor) -> None:
+        if x.requires_grad:
+            y, g = out.data, out.grad
+            x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return x._make(softmax_array(x.data, axis), (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

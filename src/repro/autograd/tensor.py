@@ -1,12 +1,15 @@
 """The :class:`Tensor` class: numpy arrays with reverse-mode autodiff.
 
 Only the operations actually used by the model zoo and the quantization
-framework are implemented.  An op records a backward closure on the tape only
-when a gradient is needed — grad is enabled and some input requires grad.
-Otherwise (inference under :func:`no_grad`, or inputs that are all constants)
-it returns a bare result tensor with no parents and no closure (and
-:class:`Tensor` keeps a float32 ndarray as is instead of re-validating it).
-Both paths compute the same array, bit for bit.  Gradient correctness is
+framework are implemented.  Each primitive op computes its output array once
+and hands it to :meth:`Tensor._make` with its parents and a backward closure
+(composites such as ``mean`` or ``-`` chain primitives).  ``_make``
+records the closure on the tape only when a gradient is needed — grad is
+enabled and some input requires grad.  Otherwise (inference under
+:func:`no_grad`, or inputs that are all constants) it returns a bare result
+tensor with no parents and no closure (and :class:`Tensor` keeps a float32
+ndarray as is instead of re-validating it).  So the forward is the same code,
+and the same bits, with and without a tape.  Gradient correctness is
 verified by the property-based tests in
 ``tests/autograd`` against numerical differentiation (:mod:`repro.autograd.gradcheck`).
 """
@@ -19,7 +22,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "needs_grad", "gelu_parts"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "gelu_parts"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -52,16 +55,6 @@ def no_grad():
 def is_grad_enabled() -> bool:
     """Whether operations on the current thread may record backward closures."""
     return _grad_state.enabled
-
-
-def needs_grad(*tensors: Optional["Tensor"]) -> bool:
-    """Whether an op on ``tensors`` records a tape entry (``None`` entries are skipped).
-
-    True when grad is enabled on this thread and at least one input requires
-    grad; every op (and the grad-free forwards in
-    :mod:`repro.autograd.functional`) skips the tape otherwise.
-    """
-    return _grad_state.enabled and any(t is not None and t.requires_grad for t in tensors)
 
 
 #: sqrt(2/pi) in float32, the tanh-approximated GELU's inner scale

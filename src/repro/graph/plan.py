@@ -9,8 +9,9 @@ eager forward would have made, in the same order.
 
 Bit-exactness contract
 ----------------------
-LayerNorm, Softmax and GELU steps call the same array functions the eager
-grad-free forwards run (:func:`~repro.autograd.functional.layer_norm_array`,
+LayerNorm, Softmax and GELU steps call the array functions that are the
+eager ops' one forward, with or without a tape
+(:func:`~repro.autograd.functional.layer_norm_array`,
 :func:`~repro.autograd.functional.softmax_array`,
 :func:`~repro.autograd.tensor.gelu_parts`), so replay ≡ eager holds for them
 by construction.  The remaining executors mirror the *exact* numpy expression

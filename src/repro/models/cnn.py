@@ -328,7 +328,10 @@ class MBConv(nn.Module):
             nn.Conv2d(hidden, cout, 1, bias=False, rng=rng), nn.BatchNorm2d(cout)
         )
         self.use_residual = stride == 1 and cin == cout
-        self.residual_add = nn.Add()
+        if self.use_residual:
+            # only a block that adds has the module: an unreached Add would be
+            # wrapped by the extended recipe and never see calibration data
+            self.residual_add = nn.Add()
 
     def forward(self, x: Tensor) -> Tensor:
         out = self.project(self.se(self.depthwise(self.expand_conv(x))))

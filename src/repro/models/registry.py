@@ -339,8 +339,8 @@ def build_task(name: str, cache=None, force_retrain: bool = False) -> TaskBundle
 
 #: part of every zoo cache key: bump it whenever training numerics change, so
 #: weights cached by an older build are retrained instead of served (r4: GELU
-#: cubes with ``x * x * x``)
-_RECIPE_VERSION = "r4"
+#: cubes with ``x * x * x``; r5: fused linear / layer_norm / softmax backwards)
+_RECIPE_VERSION = "r5"
 
 
 def _cache_key(spec: ModelSpec) -> str:

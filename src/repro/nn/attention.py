@@ -9,13 +9,15 @@ Incremental decode
 ------------------
 :class:`KVCache` gives one attention layer a per-row key/value cache so that
 autoregressive decoding consumes **one new token per step** instead of
-re-running the full O(T²) prefix.  ``forward(..., cache=...)`` appends the new
-tokens' K/V to the cache and attends over the whole cached prefix; rows of the
-cache belong to independent sequences (or beams), so a serving tier can batch
-decode steps of many in-flight requests into one forward call
-(:mod:`repro.serving.generation`).  A :class:`CacheStep` carries one step's
-row indices, write positions and attention mask, which are the same in every
-layer, so a model resolves them once per step rather than once per layer.
+re-running the full O(T²) prefix.  ``forward(..., cache=..., step=...)``
+writes the new tokens' K/V to the cache and attends over the whole cached
+prefix; rows of the cache belong to independent sequences (or beams), so a
+serving tier can batch decode steps of many in-flight requests into one
+forward call (:mod:`repro.serving.generation`).  A :class:`CacheStep`
+carries one step's row indices, write positions and attention mask, which
+are the same in every layer, so a model resolves them once per step rather
+than once per layer; :meth:`KVCache.update` is the cache's one
+write-and-read entry point.
 
 The cache stores K/V either as float32 (bit-faithful to full recompute) or as
 FP8 packed codes + per-(row, head, token) scales via the same fused kernels
@@ -138,9 +140,8 @@ class KVCache:
     Rows are addressed explicitly: every mutator takes a ``rows`` index array
     so a pool can slice one big cache across many requests.  ``lengths`` holds
     the number of valid cached tokens per row; storage beyond a row's length
-    is stale and masked out by the attention math.  :meth:`append` and
-    :meth:`dense` validate their arguments on every call; attention instead
-    calls :meth:`update` with a :class:`CacheStep` resolved once per model
+    is stale and masked out by the attention math.  Writes and reads go
+    through :meth:`update` with a :class:`CacheStep` resolved once per model
     step.
     """
 
@@ -188,37 +189,19 @@ class KVCache:
                 f"{self.head_dim}), got {k.shape} and {v.shape}"
             )
 
-    def append(
-        self,
-        k: np.ndarray,
-        v: np.ndarray,
-        rows=None,
-        new_lens: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Append up to ``S`` new tokens' K/V per row; returns pre-append lengths.
-
-        ``k``/``v`` are ``(B, H, S, D)`` float32 blocks; row ``i`` takes its
-        first ``new_lens[i]`` tokens (all ``S`` when ``new_lens`` is None), so
-        prefills of different lengths can ride one padded batch.  Every row's
-        new K and V are written together: one gather of the valid (row, token)
-        pairs, one fused FP8 encode (absmax over ``D``, so one scale per
-        (row, head, token)) and one scatter.  Bad ``new_lens`` or an overflow
-        raise before anything is written.
-        """
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        rows = _resolve_rows(rows, self.rows)
-        self._check_block(k, v, rows.size)
-        step = CacheStep(self.lengths, rows, new_lens, k.shape[2])
-        self._write(k, v, step)
-        return step.starts
-
     def update(self, k: np.ndarray, v: np.ndarray, step: CacheStep) -> Tuple[np.ndarray, np.ndarray]:
         """Write ``step``'s new K/V and return its rows' ``(K, V)`` through ``step.total``.
 
-        :meth:`append` followed by :meth:`dense`, with the row indices,
-        lengths and write positions taken from ``step`` instead of resolved
-        again in every layer.
+        ``k``/``v`` are ``(B, H, S, D)`` float32 blocks for ``step.rows``; row
+        ``i`` keeps its first ``step.new_lens[i]`` tokens, so prefills of
+        different lengths can ride one padded batch.  Every row's new K and V
+        are written together: one gather of the valid (row, token) pairs, one
+        fused FP8 encode (absmax over ``D``, so one scale per (row, head,
+        token)) and one scatter.  An overflow raises before anything is
+        written; bad rows or new lengths already raised when ``step`` was
+        built.  The returned float32 ``(B, H, step.total, D)`` arrays carry
+        stale-but-finite storage beyond each row's own length, which the
+        step's mask hides.
         """
         k = np.asarray(k, dtype=np.float32)
         v = np.asarray(v, dtype=np.float32)
@@ -242,18 +225,6 @@ class KVCache:
             self._codes[step.where] = codes
             self._scales[step.where] = scales
         self.lengths[step.rows] = step.ends
-
-    def dense(self, rows=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialise ``(K, V, lengths)`` for ``rows``, trimmed to their max length.
-
-        Returns float32 ``(B, H, T, D)`` arrays where ``T`` is the longest
-        selected row; shorter rows carry stale-but-finite storage beyond their
-        own length, which callers mask out.
-        """
-        rows = _resolve_rows(rows, self.rows)
-        lens = self.lengths[rows]
-        keys, values = self._read(rows, int(lens.max()) if lens.size else 0)
-        return keys, values, lens
 
     def _read(self, rows: np.ndarray, t: int) -> Tuple[np.ndarray, np.ndarray]:
         if self.fmt is None:
@@ -376,6 +347,7 @@ class MultiHeadSelfAttention(Module):
         cache: Optional[KVCache] = None,
         step: Optional[CacheStep] = None,
     ) -> Tensor:
+        """Attention over ``x``; with a ``cache``, one incremental step described by ``step``."""
         if cache is not None:
             return self._forward_cached(x, cache, step)
         b, t, _ = x.shape
@@ -392,19 +364,17 @@ class MultiHeadSelfAttention(Module):
         context = self.value_matmul(probs, v)
         return self.out_proj(self._merge_heads(context))
 
-    def _forward_cached(self, x: Tensor, cache: KVCache, step: Optional[CacheStep]) -> Tensor:
-        """Incremental causal attention: append the new tokens, attend over the cache.
+    def _forward_cached(self, x: Tensor, cache: KVCache, step: CacheStep) -> Tensor:
+        """Incremental causal attention: write the new tokens, attend over the cache.
 
         ``x`` holds ``S`` new tokens for each row of ``step`` (padded; row ``i``
-        owns the first ``step.new_lens[i]``); without a step, every cache row
-        takes all ``S``.  The step is always causal: new token ``p`` of row
-        ``i`` attends to every cached token plus new tokens ``<= p``.  Outputs
-        at padded positions are garbage and must be discarded by the caller.
+        owns the first ``step.new_lens[i]``).  The step is always causal: new
+        token ``p`` of row ``i`` attends to every cached token plus new tokens
+        ``<= p``.  Outputs at padded positions are garbage and must be
+        discarded by the caller.
         """
         if self.local_window is not None:
             raise RuntimeError("KV-cache decoding does not support local_window attention")
-        if step is None:
-            step = CacheStep(cache.lengths, s=x.shape[1])
         q = self._split_heads(self.q_proj(x))
         # new K/V only feed the cache, which stores arrays
         k = self._split_heads(self.k_proj(x).data)

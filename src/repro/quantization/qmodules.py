@@ -47,8 +47,6 @@ footprint.  ``quantize_model(..., deploy=True)`` and
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -72,7 +70,6 @@ from repro.quantization.qconfig import (
 __all__ = [
     "SERVING_MODES",
     "PREFETCH_MODES",
-    "STREAM_BLOCK_ENV",
     "DEFAULT_STREAM_BLOCK",
     "TensorQuantizer",
     "QuantizedModule",
@@ -95,45 +92,9 @@ SERVING_MODES = ("cached", "streaming")
 #: (see serving/prefetch.py)
 PREFETCH_MODES = (False, "pipeline")
 
-#: environment variable overriding the default streaming block size for every
-#: wrapper that has no explicit per-module setting
-STREAM_BLOCK_ENV = "REPRO_STREAM_BLOCK"
-
-#: fallback output channels decoded per block in streaming mode when neither a
-#: per-module setting nor the environment variable is present
+#: output channels decoded per block in streaming mode for a wrapper with no
+#: per-module setting
 DEFAULT_STREAM_BLOCK = 64
-
-#: invalid REPRO_STREAM_BLOCK values already warned about (warn once per value,
-#: not once per streaming forward)
-_STREAM_BLOCK_ENV_WARNED: set = set()
-
-
-def _stream_block_from_env() -> Optional[int]:
-    """The ``REPRO_STREAM_BLOCK`` override, or None when unset or invalid.
-
-    An env var is ambient configuration that may be set far from any forward
-    call, so an invalid value (non-integer, or < 1) must not explode deep
-    inside the streaming matmul: it warns once per distinct value and the
-    caller falls back to the class default instead.
-    """
-    env = os.environ.get(STREAM_BLOCK_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        block = int(env)
-    except ValueError:
-        block = None
-    if block is None or block < 1:
-        if env not in _STREAM_BLOCK_ENV_WARNED:
-            _STREAM_BLOCK_ENV_WARNED.add(env)
-            warnings.warn(
-                f"ignoring {STREAM_BLOCK_ENV}={env!r}: must be a positive integer; "
-                f"falling back to the default streaming block size",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return None
-    return block
 
 
 class TensorQuantizer:
@@ -291,6 +252,11 @@ class QuantizedModule(Module):
     has_weight = True
     #: axis of the weight tensor that indexes output channels
     weight_channel_axis = 0
+    #: class-default output channels decoded per block by a blocked streaming
+    #: kernel; bounds Linear's transient float32 working set to
+    #: ``block * in_features * 4`` bytes.  A per-module setting overrides it
+    #: (see ``streaming_block_size()``).
+    streaming_block_channels = DEFAULT_STREAM_BLOCK
     #: streaming block prefetch setting (one of PREFETCH_MODES; honoured by
     #: operators with a blocked streaming kernel; see serving/prefetch.py)
     streaming_prefetch: Union[bool, str] = False
@@ -408,9 +374,9 @@ class QuantizedModule(Module):
         """Select how the packed weight is served: ``"cached"`` or ``"streaming"``.
 
         ``block_channels`` pins this module's streaming block size (output
-        channels decoded per block); when left ``None`` the module falls back
-        to the ``REPRO_STREAM_BLOCK`` environment variable, then to the class
-        default (see :meth:`streaming_block_size`).  ``prefetch`` selects the
+        channels decoded per block); when left ``None`` the module keeps its
+        current size, the class default unless set before (see
+        :meth:`streaming_block_size`).  ``prefetch`` selects the
         block prefetch strategy for operators with a blocked streaming
         kernel: ``False`` decodes inline, ``"pipeline"`` pipelines decode
         across consecutive streaming layers via a shared pool (the
@@ -442,20 +408,13 @@ class QuantizedModule(Module):
         bump_state_epoch()
 
     def streaming_block_size(self) -> int:
-        """Resolve the streaming block size for this module.
+        """This module's streaming block size (output channels decoded per block).
 
-        Priority: an explicit per-module setting
-        (``set_serving_mode(..., block_channels=)`` or direct assignment to
-        ``streaming_block_channels``), then the ``REPRO_STREAM_BLOCK``
-        environment variable (invalid values warn once and are ignored), then
-        the class default.
+        An explicit per-module setting (``set_serving_mode(...,
+        block_channels=)`` or direct assignment to
+        ``streaming_block_channels``), else the class default.
         """
-        block = self.__dict__.get("streaming_block_channels")
-        if block is None:
-            block = _stream_block_from_env()
-        if block is None:
-            block = getattr(type(self), "streaming_block_channels", DEFAULT_STREAM_BLOCK)
-        return max(1, int(block))
+        return max(1, int(self.streaming_block_channels))
 
     def _calibration_fallbacks(self) -> Sequence[Optional[np.ndarray]]:
         """Per-input fallback data for freezing without calibration (weights only)."""
@@ -738,12 +697,6 @@ class QuantizedLinear(QuantizedModule):
 
     num_inputs = 1
     has_weight = True
-
-    #: class-default output channels decoded per block in streaming mode;
-    #: bounds the transient float32 working set to ``block * in_features * 4``
-    #: bytes.  Resolution order for the effective size is per-module setting →
-    #: ``REPRO_STREAM_BLOCK`` → this default (see ``streaming_block_size()``).
-    streaming_block_channels = DEFAULT_STREAM_BLOCK
 
     def _forward_streaming(self, x, **kwargs):
         """Decode-on-the-fly matmul: stream packed weight rows through the kernel.

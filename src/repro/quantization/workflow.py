@@ -212,7 +212,10 @@ def convert_model(model: Module) -> List[str]:
     converted = []
     for name, module in model.named_modules():
         if isinstance(module, QuantizedModule):
-            module.convert()
+            try:
+                module.convert()
+            except RuntimeError as exc:
+                raise RuntimeError(f"cannot convert {name!r}: {exc}") from exc
             converted.append(name)
     return converted
 
@@ -267,8 +270,7 @@ def set_serving_mode(
 ) -> int:
     """Set the serving mode (``"cached"`` / ``"streaming"``) on every wrapper.
 
-    ``block_channels`` pins the streaming block size on every wrapper (the
-    per-module equivalent of the ``REPRO_STREAM_BLOCK`` environment variable);
+    ``block_channels`` pins the streaming block size on every wrapper;
     ``prefetch`` selects block prefetch on operators with a blocked streaming
     kernel: ``False`` decodes inline, ``"pipeline"`` pipelines decode across
     layers — this is where the model-level wiring happens: one shared

@@ -244,12 +244,8 @@ class ServingEngine:
         :class:`~repro.serving.errors.WorkerCrashed` + requeue + restart
         flow as a thread death.  Results are bit-identical to thread/cached
         mode (same kernels, same replica build).  One-shot forwards only in
-        this mode; :meth:`generate` raises ``ValueError``.
-    worker_start_method:
-        ``multiprocessing`` start method for process workers (``"spawn"``
-        default — safest with threads; ``"fork"``/``"forkserver"`` where the
-        platform supports them; the container layer re-inits its mapping
-        cache after a fork either way).
+        this mode; :meth:`generate` raises ``ValueError``.  Workers start
+        with ``multiprocessing``'s ``"spawn"`` method.
     max_worker_restarts:
         Crash-loop containment for **both** worker modes: how many
         supervisor restarts the rolling ``restart_window_s`` window admits.
@@ -287,7 +283,6 @@ class ServingEngine:
         restart_crashed_workers: bool = True,
         supervision_interval_ms: float = 20.0,
         worker_mode: str = "thread",
-        worker_start_method: str = "spawn",
         max_worker_restarts: Optional[int] = None,
         restart_window_s: float = 30.0,
         worker_spec: Optional[WorkerSpec] = None,
@@ -413,7 +408,8 @@ class ServingEngine:
         self._worker_spec = worker_spec
         self._mp_ctx = None
         if worker_mode == "process":
-            self._mp_ctx = multiprocessing.get_context(worker_start_method)
+            # spawn: a fork of this threaded process could copy held locks
+            self._mp_ctx = multiprocessing.get_context("spawn")
             if worker_spec is None:
                 # fail fast in the constructor, not in N children: the
                 # template must cross the process boundary

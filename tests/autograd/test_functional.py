@@ -273,3 +273,47 @@ class TestDropout:
         out = F.dropout(x, 0.5, training=True, rng=rng).data
         assert out.mean() == pytest.approx(1.0, abs=0.05)
         assert set(np.unique(out)).issubset({0.0, 2.0})
+
+
+def weighted(fn, shape, seed=9):
+    """``fn`` with its output scaled by a fixed non-uniform upstream weight."""
+    weight = Tensor(np.random.default_rng(seed).standard_normal(shape))
+    return lambda *inputs: fn(*inputs) * weight
+
+
+class TestFusedBackwards:
+    """``linear``, ``layer_norm`` and ``softmax`` record one tape node with a fused backward."""
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_softmax_gradcheck(self, axis):
+        # softmax's outputs sum to one along ``axis``: an unweighted sum()
+        # would have a zero gradient and check nothing
+        fn = weighted(lambda x: F.softmax(x, axis=axis), (3, 5))
+        gradcheck(fn, [t((3, 5), 1, 2.0)])
+
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_gradcheck(self, lead, bias):
+        inputs = [t((*lead, 4), 1), t((3, 4), 2)] + ([t((3,), 3)] if bias else [])
+        gradcheck(weighted(F.linear, (*lead, 3)), inputs)
+
+    def test_layer_norm_3d_gradcheck(self):
+        fn = weighted(F.layer_norm, (2, 3, 6))
+        gradcheck(fn, [t((2, 3, 6), 1, 2.0), t((6,), 2), t((6,), 3)])
+
+    def test_one_tape_node_per_call(self):
+        x, w, b = t((2, 4), 1), t((3, 4), 2), t((3,), 3)
+        gamma, beta = t((4,), 4), t((4,), 5)
+        assert F.linear(x, w, b)._prev == (x, w, b)
+        assert F.linear(x, w)._prev == (x, w)
+        assert F.layer_norm(x, gamma, beta)._prev == (x, gamma, beta)
+        assert F.softmax(x)._prev == (x,)
+
+    def test_causal_encoder_layer_gradcheck(self):
+        # x fans out to ln1 and to the residual add, so its gradient sums the
+        # contributions of both paths
+        from repro.models.transformer import TransformerEncoderLayer
+
+        layer = TransformerEncoderLayer(4, 2, ffn_dim=8, rng=np.random.default_rng(0))
+        fn = weighted(lambda x, *params: layer(x, causal=True), (2, 3, 4))
+        gradcheck(fn, [t((2, 3, 4), 1), *layer.parameters()])

@@ -32,47 +32,60 @@ def small_lm(seed=0, max_seq_len=48, **kwargs):
     return model.eval()
 
 
+def write(cache, k, v, rows=None, new_lens=None):
+    """One ``cache.update`` of a step built from ``rows`` and ``new_lens``: ``(step, K, V)``."""
+    step = nn.CacheStep(cache.lengths, rows, new_lens, k.shape[2])
+    return (step, *cache.update(k, v, step))
+
+
+def read(cache, rows=None):
+    """``(K, V)`` of ``rows`` through their longest length: an update that writes nothing."""
+    count = cache.rows if rows is None else len(rows)
+    empty = np.zeros((count, cache.num_heads, 1, cache.head_dim), dtype=np.float32)
+    _, keys, values = write(cache, empty, empty, rows, np.zeros(count, dtype=np.int64))
+    return keys, values
+
+
 class TestKVCache:
-    def test_append_and_dense_ragged(self):
+    def test_update_ragged(self):
         cache = nn.KVCache(rows=3, num_heads=2, head_dim=4, capacity=8)
         k = np.random.default_rng(0).standard_normal((2, 2, 5, 4)).astype(np.float32)
         v = np.random.default_rng(1).standard_normal((2, 2, 5, 4)).astype(np.float32)
-        starts = cache.append(k, v, rows=[0, 2], new_lens=[5, 3])
-        assert starts.tolist() == [0, 0]
+        step, keys, values = write(cache, k, v, rows=[0, 2], new_lens=[5, 3])
+        assert step.starts.tolist() == [0, 0]
+        assert step.ends.tolist() == [5, 3]
         assert cache.lengths.tolist() == [5, 0, 3]
-        dense_k, dense_v, lens = cache.dense(rows=[0, 2])
-        assert dense_k.shape == (2, 2, 5, 4)
-        assert lens.tolist() == [5, 3]
-        np.testing.assert_array_equal(dense_k[0], k[0])
-        np.testing.assert_array_equal(dense_v[1, :, :3], v[1, :, :3])
+        assert keys.shape == values.shape == (2, 2, 5, 4)
+        np.testing.assert_array_equal(keys[0], k[0])
+        np.testing.assert_array_equal(values[1, :, :3], v[1, :, :3])
 
-    def test_append_overflow_raises(self):
+    def test_update_overflow_raises(self):
         cache = nn.KVCache(rows=1, num_heads=1, head_dim=2, capacity=4)
         block = np.zeros((1, 1, 3, 2), dtype=np.float32)
-        cache.append(block, block)
+        write(cache, block, block)
         with pytest.raises(RuntimeError, match="overflow"):
-            cache.append(block, block)
+            write(cache, block, block)
+        assert cache.lengths.tolist() == [3]
 
     def test_permute_rows(self):
         cache = nn.KVCache(rows=3, num_heads=1, head_dim=2, capacity=4)
         k = np.arange(3 * 2 * 2, dtype=np.float32).reshape(3, 1, 2, 2)
-        cache.append(k, k)
+        write(cache, k, k)
         cache.permute_rows([0, 1, 2], [2, 2, 0])
-        dense_k, _, _ = cache.dense()
-        np.testing.assert_array_equal(dense_k[0], k[2])
-        np.testing.assert_array_equal(dense_k[1], k[2])
-        np.testing.assert_array_equal(dense_k[2], k[0])
+        keys, _ = read(cache)
+        np.testing.assert_array_equal(keys[0], k[2])
+        np.testing.assert_array_equal(keys[1], k[2])
+        np.testing.assert_array_equal(keys[2], k[0])
 
     def test_reset_rows_reuses_storage(self):
         cache = nn.KVCache(rows=2, num_heads=1, head_dim=2, capacity=4)
         block = np.ones((2, 1, 4, 2), dtype=np.float32)
-        cache.append(block, block)
+        write(cache, block, block)
         cache.reset_rows([1])
         assert cache.lengths.tolist() == [4, 0]
-        cache.append(2 * block[:1], 2 * block[:1], rows=[1])
-        dense_k, _, lens = cache.dense(rows=[1])
-        assert lens.tolist() == [4]
-        np.testing.assert_array_equal(dense_k, 2 * block[:1])
+        step, keys, _ = write(cache, 2 * block[:1], 2 * block[:1], rows=[1])
+        assert step.ends.tolist() == [4]
+        np.testing.assert_array_equal(keys, 2 * block[:1])
 
     def test_fp8_storage_roundtrip_and_footprint(self):
         rng = np.random.default_rng(2)
@@ -80,23 +93,22 @@ class TestKVCache:
         v = rng.standard_normal((1, 2, 6, 8)).astype(np.float32)
         float_cache = nn.KVCache(rows=1, num_heads=2, head_dim=8, capacity=16)
         fp8_cache = nn.KVCache(rows=1, num_heads=2, head_dim=8, capacity=16, storage="E4M3")
-        float_cache.append(k, v)
-        fp8_cache.append(k, v)
-        dense_k, dense_v, lens = fp8_cache.dense()
-        assert lens.tolist() == [6]
-        assert np.all(np.isfinite(dense_k)) and np.all(np.isfinite(dense_v))
+        write(float_cache, k, v)
+        step, keys, values = write(fp8_cache, k, v)
+        assert step.ends.tolist() == [6]
+        assert np.all(np.isfinite(keys)) and np.all(np.isfinite(values))
         # E4M3 has ~2^-3 relative step; channelwise scaling keeps error small
-        assert np.max(np.abs(dense_k - k)) < 0.2 * np.max(np.abs(k))
+        assert np.max(np.abs(keys - k)) < 0.2 * np.max(np.abs(k))
         assert fp8_cache.nbytes < float_cache.nbytes
 
     def test_stale_fp8_storage_decodes_finite(self):
         cache = nn.KVCache(rows=2, num_heads=1, head_dim=4, capacity=8, storage="E4M3")
         block = np.ones((1, 1, 5, 4), dtype=np.float32)
-        cache.append(block, block, rows=[0])
+        write(cache, block, block, rows=[0])
         # row 1 never wrote anything: its storage is stale but must still
         # decode to finite values (the mask relies on 0 * finite == 0)
-        dense_k, dense_v, _ = cache.dense()
-        assert np.all(np.isfinite(dense_k)) and np.all(np.isfinite(dense_v))
+        keys, values = read(cache)
+        assert np.all(np.isfinite(keys)) and np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("storage", ["float32", "E4M3"])
     @pytest.mark.parametrize(
@@ -111,11 +123,11 @@ class TestKVCache:
     def test_out_of_range_new_lens_rejected_before_any_write(self, storage, new_lens, match):
         cache = nn.KVCache(rows=2, num_heads=1, head_dim=2, capacity=8, storage=storage)
         first = np.ones((2, 1, 2, 2), dtype=np.float32)
-        cache.append(first, first)
+        write(cache, first, first)
         arrays = [array.copy() for array in cache._arrays()]
         block = np.full((1, 1, 1, 2), 7.0, dtype=np.float32)
         with pytest.raises(ValueError, match=match):
-            cache.append(block, block, rows=[1], new_lens=new_lens)
+            write(cache, block, block, rows=[1], new_lens=new_lens)
         assert cache.lengths.tolist() == [2, 2]
         for before, after in zip(arrays, cache._arrays()):
             np.testing.assert_array_equal(before, after)
@@ -124,34 +136,13 @@ class TestKVCache:
         cache = nn.KVCache(rows=3, num_heads=1, head_dim=2, capacity=8, storage="E4M3")
         block = np.ones((3, 1, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match=r"new_lens\[2\] = 3 .*row 0"):
-            cache.append(block, block, rows=[2, 1, 0], new_lens=[2, 1, 3])
+            write(cache, block, block, rows=[2, 1, 0], new_lens=[2, 1, 3])
         assert cache.lengths.tolist() == [0, 0, 0]
         assert not cache._arrays()[0].any()
 
 
 class TestCacheStep:
-    """One step resolved once: the same writes, reads and mask as per-layer resolution."""
-
-    @pytest.mark.parametrize("storage", ["float32", "E4M3"])
-    def test_update_matches_append_then_dense(self, storage):
-        rng = np.random.default_rng(4)
-        stepped = nn.KVCache(rows=4, num_heads=2, head_dim=3, capacity=12, storage=storage)
-        reference = nn.KVCache(rows=4, num_heads=2, head_dim=3, capacity=12, storage=storage)
-        for rows, new_lens, s in [([2, 0, 3], [5, 2, 4], 5), ([0, 2], None, 1), ([3], [0], 2)]:
-            shape = (len(rows), 2, s, 3)
-            k = rng.standard_normal(shape).astype(np.float32)
-            v = rng.standard_normal(shape).astype(np.float32)
-            step = nn.CacheStep(stepped.lengths, rows, new_lens, s)
-            keys, values = stepped.update(k, v, step)
-            starts = reference.append(k, v, rows=rows, new_lens=new_lens)
-            want_k, want_v, lens = reference.dense(rows)
-            np.testing.assert_array_equal(step.starts, starts)
-            np.testing.assert_array_equal(step.ends, lens)
-            np.testing.assert_array_equal(keys.view(np.uint32), want_k.view(np.uint32))
-            np.testing.assert_array_equal(values.view(np.uint32), want_v.view(np.uint32))
-            np.testing.assert_array_equal(stepped.lengths, reference.lengths)
-            for a, b in zip(stepped._arrays(), reference._arrays()):
-                np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+    """One step resolved once for every layer: rows, lengths, positions and mask."""
 
     def test_mask_sees_cached_and_earlier_new_tokens_of_its_own_row(self):
         lengths = np.array([3, 0, 1], dtype=np.int64)
@@ -206,8 +197,8 @@ class TestCacheStep:
             np.testing.assert_array_equal(cache._kv, kv)
 
 
-def append_per_row(cache, k, v, rows, new_lens):
-    """The per-row write ``KVCache.append`` replaced: the bit-exact oracle.
+def write_per_row(cache, k, v, rows, new_lens):
+    """The per-row write ``KVCache.update`` replaced: the bit-exact oracle.
 
     One ``fp8_quantize_channelwise`` call per row and per K/V, written into the
     cache's (K/V, row, head, position, dim) storage row by row.
@@ -232,7 +223,21 @@ def append_per_row(cache, k, v, rows, new_lens):
     return starts
 
 
-class TestBatchedAppendMatchesPerRow:
+def read_per_row(cache, rows, total):
+    """``(K, V)`` of ``rows`` through ``total`` tokens, each row and K/V decoded on its own."""
+    from repro.fp8.kernels import fp8_dequantize_channelwise
+
+    if cache.fmt is None:
+        return cache._kv[0, rows, :, :total], cache._kv[1, rows, :, :total]
+
+    def decode(which, row):
+        codes = cache._codes[which, row, :, :total]
+        return fp8_dequantize_channelwise(codes, cache.fmt, cache._scales[which, row, :, :total])
+
+    return tuple(np.stack([decode(which, row) for row in rows]) for which in (0, 1))
+
+
+class TestUpdateMatchesPerRow:
     """One fused encode over every row's new K and V ≡ the per-row loop, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
@@ -243,7 +248,7 @@ class TestBatchedAppendMatchesPerRow:
         head_dim=st.integers(1, 6),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_appends_bit_identical(self, data, storage, heads, head_dim, seed):
+    def test_updates_bit_identical(self, data, storage, heads, head_dim, seed):
         rng = np.random.default_rng(seed)
         slots, capacity = 5, 24
         batched = nn.KVCache(slots, heads, head_dim, capacity, storage=storage)
@@ -262,13 +267,18 @@ class TestBatchedAppendMatchesPerRow:
             magnitude = rng.choice([0.0, 1e-6, 1.0, 300.0], size=shape[:3] + (1,))
             k = (rng.standard_normal(shape) * magnitude).astype(np.float32)
             v = (rng.standard_normal(shape) * magnitude).astype(np.float32)
-            got = batched.append(k, v, rows=rows, new_lens=new_lens)
-            want = append_per_row(reference, k, v, rows, new_lens)
-            np.testing.assert_array_equal(got, want)
+            step, keys, values = write(batched, k, v, rows, new_lens)
+            starts = write_per_row(reference, k, v, rows, new_lens)
+            np.testing.assert_array_equal(step.starts, starts)
+            np.testing.assert_array_equal(step.ends, reference.lengths[rows])
             np.testing.assert_array_equal(batched.lengths, reference.lengths)
             for a, b in zip(batched._arrays(), reference._arrays()):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+            want_k, want_v = read_per_row(reference, rows, step.total)
+            assert keys.dtype == values.dtype == np.float32
+            np.testing.assert_array_equal(keys.view(np.uint32), want_k.view(np.uint32))
+            np.testing.assert_array_equal(values.view(np.uint32), want_v.view(np.uint32))
 
 
 class TestCoercePrompt:

@@ -1,7 +1,6 @@
 """Deploy (restore-free) mode, serving modes and the cache-drop bugfix."""
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -237,57 +236,23 @@ class TestStreamingBlockConfig:
         result = quantize_model(model, standard_recipe("E4M3", approach=Approach.DYNAMIC))
         return result.model, _wrappers(result.model)[0]
 
-    def test_set_serving_mode_block_channels_wins(self, monkeypatch):
+    def test_set_serving_mode_block_channels_wins(self):
         model, wrapper = self._linear_wrapper()
-        monkeypatch.setenv("REPRO_STREAM_BLOCK", "48")
+        assert wrapper.streaming_block_size() == type(wrapper).streaming_block_channels
         set_serving_mode(model, "streaming", block_channels=5)
         assert wrapper.streaming_block_size() == 5
-
-    def test_env_var_overrides_class_default(self, monkeypatch):
-        _, wrapper = self._linear_wrapper()
-        assert wrapper.streaming_block_size() == type(wrapper).streaming_block_channels
-        monkeypatch.setenv("REPRO_STREAM_BLOCK", "12")
-        assert wrapper.streaming_block_size() == 12
-
-    def test_invalid_env_var_warns_once_and_falls_back(self, monkeypatch):
-        _, wrapper = self._linear_wrapper()
-        monkeypatch.setenv("REPRO_STREAM_BLOCK", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_STREAM_BLOCK"):
-            block = wrapper.streaming_block_size()
-        assert block == type(wrapper).streaming_block_channels
-        # warned once per distinct value, not once per streaming forward
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert wrapper.streaming_block_size() == block
-
-    def test_non_positive_env_var_warns_and_falls_back(self, monkeypatch):
-        _, wrapper = self._linear_wrapper()
-        monkeypatch.setenv("REPRO_STREAM_BLOCK", "-3")
-        with pytest.warns(RuntimeWarning, match="positive integer"):
-            assert wrapper.streaming_block_size() == type(wrapper).streaming_block_channels
-
-    def test_invalid_env_var_does_not_break_streaming_forward(self, monkeypatch):
-        model, _ = self._linear_wrapper()
-        probe = _probe(shape=(5, 16))
-        cached_out = model(probe).data
-        monkeypatch.setenv("REPRO_STREAM_BLOCK", "banana")
-        set_serving_mode(model, "streaming")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = model(probe).data
-        assert np.allclose(out, cached_out, rtol=1e-5, atol=1e-6)
 
     def test_invalid_block_channels_rejected(self):
         _, wrapper = self._linear_wrapper()
         with pytest.raises(ValueError, match="block_channels"):
             wrapper.set_serving_mode("streaming", block_channels=0)
 
-    def test_block_size_changes_streaming_outputs_not(self, monkeypatch):
+    def test_block_size_changes_streaming_outputs_not(self):
         model, wrapper = self._linear_wrapper()
         probe = _probe(shape=(5, 16))
         cached_out = model(probe).data
-        monkeypatch.setenv("REPRO_STREAM_BLOCK", "7")  # 70 = 7 x 10
-        set_serving_mode(model, "streaming")
+        set_serving_mode(model, "streaming", block_channels=7)  # 70 = 7 x 10
+        assert wrapper.streaming_block_size() == 7
         assert np.allclose(model(probe).data, cached_out, rtol=1e-5, atol=1e-6)
 
     def test_prefetch_flag_roundtrips_through_set_serving_mode(self):

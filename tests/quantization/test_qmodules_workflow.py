@@ -278,6 +278,22 @@ class TestWorkflow:
         with pytest.raises(ValueError):
             quantize_model(model, standard_recipe("E4M3"), calibration_data=None)
 
+    def test_convert_names_the_wrapper_calibration_never_reached(self):
+        class Unreached(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.used = nn.Linear(8, 2)
+                self.unused = nn.Linear(8, 2)
+
+            def forward(self, x):
+                return self.used(x)
+
+        model = Unreached()
+        prepare_model(model, standard_recipe("E4M3"))
+        calibrate_model(model, self._calib())
+        with pytest.raises(RuntimeError, match="cannot convert 'unused': static quantizer"):
+            convert_model(model)
+
     def test_dynamic_needs_no_calibration(self):
         model = nn.Sequential(nn.Linear(8, 2))
         model.eval()

@@ -7,10 +7,12 @@ import repro.nn as nn
 from repro.autograd import no_grad
 from repro.data.synthetic import make_classification_images
 from repro.models.outliers import inject_nlp_outliers
+from repro.models.registry import get_spec
 from repro.models.transformer import BertStyleClassifier
 from repro.quantization import (
     AutoTuner,
     QuantFormat,
+    QuantizedModule,
     apply_smoothquant,
     assign_mixed_formats,
     calibrate_batchnorm,
@@ -160,6 +162,21 @@ class TestBatchNormCalibration:
         assert result.batchnorm_calibrated
         metric = cnn_bundle.evaluate(result.model)
         assert metric > 0.5
+
+    @pytest.mark.parametrize("name", ["efficientnet-b0-imagenet", "se-resnext50-imagenet"])
+    def test_extended_recipe_converts_blocks_without_a_residual(self, name):
+        # MBConv blocks that change shape add no residual; an Add module built
+        # for them anyway was wrapped, never calibrated, and failed convert()
+        spec = get_spec(name)
+        model = spec.model_fn(np.random.default_rng(spec.seed)).eval()
+        data = make_classification_images(n_samples=64, rng=0)
+        recipe = extended_recipe("E4M3", batchnorm_calibration=True)
+        recipe.bn_calibration_samples = 64
+        result = quantize_model(model, recipe, calibration_data=data, is_convolutional=True)
+        assert result.batchnorm_calibrated
+        wrappers = [m for m in result.model.modules() if isinstance(m, QuantizedModule)]
+        assert any(isinstance(m.inner, nn.Add) for m in wrappers)
+        assert all(m.quantizing for m in wrappers)
 
 
 class TestMixedFormats:
