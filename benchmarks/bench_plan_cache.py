@@ -1,11 +1,11 @@
 """Dispatch roofline: compiled plan replay vs eager module dispatch.
 
 The plan cache (:mod:`repro.graph`) exists to kill per-layer Python dispatch
-on the serving forward: one traced-and-fused flat plan with preallocated
-buffers replaces the ``Module.__call__`` / autograd-Tensor tower.  The win is
-largest exactly where serving hurts most — deep, narrow models at small
-batch, where every layer's useful arithmetic is a few microseconds and the
-interpreter overhead dominates.
+on the serving forward: one traced flat plan, whose every step calls the
+function the eager op calls, replaces the ``Module.__call__`` / result-Tensor
+tower.  The win is largest exactly where serving hurts most — deep, narrow
+models at small batch, where every layer's useful arithmetic is a few
+microseconds and the interpreter overhead dominates.
 
 Gates:
 

@@ -9,13 +9,12 @@ vectorised numpy matmuls (see the performance guide: avoid Python loops).
 One forward per op
 ------------------
 :func:`linear`, :func:`layer_norm` and :func:`softmax` are single
-primitives: each computes its array function once (``x @ W.T`` then ``+ b``;
-:func:`layer_norm_array`; :func:`softmax_array`) and hands the result to
+primitives: each computes its array function once (:func:`linear_array`,
+:func:`layer_norm_array`, :func:`softmax_array`) and hands the result to
 :meth:`~repro.autograd.tensor.Tensor._make`, which records one tape entry
-with a fused backward when a gradient is needed and none otherwise.  So
-training, eager inference and compiled plans (:mod:`repro.graph.plan`, which
-call :func:`layer_norm_array` and :func:`softmax_array` with ``out=`` set to
-their preallocated buffers) run the same forward, bit for bit.
+with a fused backward when a gradient is needed and none otherwise.
+Compiled plans (:mod:`repro.graph.plan`) call the same array functions, so
+training, eager inference and plan replay run one forward, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from repro.autograd.tensor import Tensor
 
 __all__ = [
     "linear",
+    "linear_array",
     "matmul",
     "conv2d",
     "max_pool2d",
@@ -54,12 +54,18 @@ __all__ = [
 # ----------------------------------------------------------------------
 # dense / matmul
 # ----------------------------------------------------------------------
+def linear_array(
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """:func:`linear` on arrays: ``x @ weight.T``, then ``+ bias``."""
+    y = np.matmul(x, weight.T)
+    return y if bias is None else y + bias
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``y = x @ weight.T + bias`` with ``weight`` of shape (out, in)."""
     w = weight.data
-    y = np.matmul(x.data, w.T)
-    if bias is not None:
-        y = y + bias.data
+    y = linear_array(x.data, w, None if bias is None else bias.data)
 
     def backward(out: Tensor) -> None:
         g = out.grad
@@ -368,8 +374,8 @@ def batch_norm(
 def _normalize(x: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
     """``(x_hat, std)`` of ``x`` over its last axis: the core of :func:`layer_norm`.
 
-    :func:`layer_norm`'s backward calls this again, so the forward (which
-    plans run with ``out=``) keeps no temporaries.
+    :func:`layer_norm`'s backward calls this again, so the forward keeps no
+    temporaries.
     """
     inv = np.float32(1.0 / x.shape[-1])
     mean = x.sum(axis=-1, keepdims=True) * inv
@@ -380,15 +386,11 @@ def _normalize(x: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def layer_norm_array(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    eps: float = 1e-5,
-    out: Optional[np.ndarray] = None,
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
-    """:func:`layer_norm` on arrays, written to ``out`` if given."""
+    """:func:`layer_norm` on arrays."""
     x_hat, _ = _normalize(x, eps)
-    return np.add(np.multiply(x_hat, weight, out=out), bias, out=out)
+    return np.add(np.multiply(x_hat, weight), bias)
 
 
 def layer_norm(
@@ -419,9 +421,9 @@ def layer_norm(
 # ----------------------------------------------------------------------
 # softmax and losses
 # ----------------------------------------------------------------------
-def softmax_array(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`softmax` on arrays, written to ``out`` if given (else to a fresh array)."""
-    e = np.add(x, np.negative(x.max(axis=axis, keepdims=True)), out=out)
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`softmax` on arrays."""
+    e = np.add(x, np.negative(x.max(axis=axis, keepdims=True)))
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 

@@ -22,7 +22,15 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "gelu_parts"]
+__all__ = [
+    "Tensor",
+    "no_grad",
+    "is_grad_enabled",
+    "relu_array",
+    "sigmoid_array",
+    "silu_array",
+    "gelu_parts",
+]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -61,13 +69,27 @@ def is_grad_enabled() -> bool:
 _GELU_C = np.sqrt(2.0 / np.pi).astype(np.float32)
 
 
+# The activations' array math, one copy each: the Tensor methods and the
+# compiled plans' steps (repro.graph.plan) both call these.
+def relu_array(x: np.ndarray) -> np.ndarray:
+    """``max(x, 0)`` as ``x * (x > 0)``."""
+    return x * (x > 0)
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def silu_array(x: np.ndarray) -> np.ndarray:
+    return x * sigmoid_array(x)
+
+
 def gelu_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Tanh-approximated GELU of a float32 array: ``(gelu(x), tanh term)``.
 
-    The one copy of GELU's array math: :meth:`Tensor.gelu` keeps the tanh
-    term for its backward, and compiled plans (:mod:`repro.graph.plan`) take
-    the output.  The cube is ``x * x * x`` because numpy raises float32 to a
-    power through ``powf``, one libm call per element.
+    :meth:`Tensor.gelu` keeps the tanh term for its backward, and compiled
+    plans take the output.  The cube is ``x * x * x`` because numpy raises
+    float32 to a power through ``powf``, one libm call per element.
     """
     t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
@@ -461,16 +483,14 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                self._accumulate(out.grad * mask)
+                self._accumulate(out.grad * (self.data > 0))
 
-        return self._make(self.data * mask, (self,), backward)
+        return self._make(relu_array(self.data), (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
+        data = sigmoid_array(self.data)
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
@@ -501,15 +521,13 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def silu(self) -> "Tensor":
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        data = self.data * sig
-
         def backward(out: Tensor) -> None:
             if self.requires_grad:
+                sig = sigmoid_array(self.data)
                 grad = sig * (1.0 + self.data * (1.0 - sig))
                 self._accumulate(out.grad * grad)
 
-        return self._make(data, (self,), backward)
+        return self._make(silu_array(self.data), (self,), backward)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         mask = ((self.data >= lo) & (self.data <= hi)).astype(np.float32)

@@ -1,20 +1,17 @@
-"""Lazy op-graph tracing + fused plan cache for the serving forward.
+"""Lazy op-graph tracing + plan cache for the serving forward.
 
 Layers (see the per-module docstrings for the full contracts):
 
 * :mod:`repro.graph.ir` — the op-graph representation (nodes over SSA slots);
 * :mod:`repro.graph.tracer` — trace-by-execution of a model forward;
-* :mod:`repro.graph.fuse` — rewrite passes collapsing Q/DQ→matmul sequences
-  and elementwise chains into fused nodes;
-* :mod:`repro.graph.plan` — compilation into a flat executable plan with
-  preallocated per-thread buffers;
+* :mod:`repro.graph.plan` — compilation into a flat executable plan whose
+  every step calls the function the eager op calls;
 * :mod:`repro.graph.cache` — the per-model plan cache wired into
   ``Module.__call__``, with epoch-based invalidation and the eager-oracle
   fallback.
 """
 
 from repro.graph.cache import PlanCache, install_plan_cache, plan_cache_of, remove_plan_cache
-from repro.graph.fuse import fuse_graph
 from repro.graph.ir import Graph, Node, TraceAborted
 from repro.graph.plan import Plan, compile_plan
 from repro.graph.tracer import Tracer, TraceResult, trace
@@ -26,7 +23,6 @@ __all__ = [
     "Tracer",
     "TraceResult",
     "trace",
-    "fuse_graph",
     "Plan",
     "compile_plan",
     "PlanCache",

@@ -7,8 +7,8 @@
 * **cache hit** — the stored plan replays with zero module dispatch and the
   (bit-identical) result is returned directly;
 * **first sight** — the forward runs once under the tracer (so the call still
-  produces its real result), the graph is fused and compiled, and the plan is
-  stored after a verification replay reproduces the traced output exactly;
+  produces its real result), the graph is compiled, and the plan is stored
+  after a verification replay reproduces the traced output exactly;
 * **eager** — keys whose trace aborted are pinned to a sentinel so later
   forwards skip straight to the eager path, which remains the bit-exactness
   oracle at all times.
@@ -28,8 +28,8 @@ eager sentinels so hook removal can re-enable tracing).  Both epochs live in
 Dispatch never replays for training-mode models, under ``is_grad_enabled()``,
 for keyword arguments, or for non-array inputs — those forwards take the
 eager path with all semantics (tape, hooks) intact.  Lookup is thread-safe;
-replay runs outside the lock on per-thread buffers, so concurrent engine
-workers replay the same plan in parallel.
+replay runs outside the lock and allocates its results as eager does, so
+concurrent engine workers replay the same plan in parallel.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, is_grad_enabled, no_grad
-from repro.graph.fuse import fuse_graph
 from repro.graph.ir import TraceAborted
 from repro.graph.plan import compile_plan
 from repro.graph.tracer import trace
@@ -128,8 +127,7 @@ class PlanCache:
                 self._trace_aborts += 1
                 self._store(key, _EAGER)
                 return False, None
-            graph = fuse_graph(result.graph)
-            plan = compile_plan(graph, output_wrapped=isinstance(result.output, Tensor))
+            plan = compile_plan(result.graph, output_wrapped=isinstance(result.output, Tensor))
             try:
                 replayed = plan.replay(args)
                 verified = _outputs_match(result.output, replayed)

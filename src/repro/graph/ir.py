@@ -4,51 +4,33 @@ A traced forward is a flat, topologically ordered list of :class:`Node`
 records over integer *slots*.  Slots are SSA values: every node reads its
 inputs from slots and writes exactly one output slot; the graph's inputs and
 output are slots too.  The representation is deliberately minimal — kinds are
-plain strings and parameters are plain dicts — so the fusion passes in
-:mod:`repro.graph.fuse` can rewrite graphs without importing any of the
-packages whose modules produced the nodes (no ``nn``/``quantization`` imports
-here, and therefore no import cycles).
+plain strings and parameters are plain dicts — and imports none of the
+packages whose modules produced the nodes (no ``nn``/``quantization``
+imports here, and therefore no import cycles).
 
 Node kinds emitted by the tracer
 --------------------------------
-``linear``            dense ``x @ W.T + b`` through a float :class:`~repro.nn.layers.Linear`
+Each kind names the one function its plan step calls (see
+:mod:`repro.graph.plan`):
+
+``linear``            a float :class:`~repro.nn.layers.Linear`
 ``qdq``               activation quantize/dequantize through one ``TensorQuantizer``
-``qlinear_mm``        matmul of an already-Q/DQ'd activation against a quantized
-                      wrapper's cached dequantized weight
+``qlinear_mm``        a quantized Linear's matmul against its cached dequantized weight
 ``qlinear_stream_mm`` the blocked streaming matmul over packed weight blocks
-``qembed``            quantized embedding lookup (cached or gather-decode)
-``embedding`` / ``embedding_bag``   float embedding gathers
 ``ew``                one elementwise op (``relu``/``sigmoid``/``tanh``/``gelu``/``silu``)
 ``ew2``               binary elementwise (``add``/``mul``)
-``softmax``           numerically-stable softmax along an axis
-``layer_norm`` / ``batch_norm``     normalisation decompositions (eval mode)
-``reshape``           movement (view) to a fixed shape
 ``matmul2``           batched matmul of two traced operands
+``softmax``           softmax along an axis
+``layer_norm``        layer normalisation (eval mode)
+``reshape``           movement (view) to a fixed shape
 ``call_module``       opaque leaf: replay calls the module itself
-
-Kinds produced by fusion (:mod:`repro.graph.fuse`)
---------------------------------------------------
-``qlinear``           ``qdq`` + ``qlinear_mm`` collapsed into one node
-``qlinear_stream``    ``qdq`` + ``qlinear_stream_mm`` collapsed
-``fused_ew``          a chain of ``ew`` nodes collapsed into one pass
-plus an optional ``epilogue`` parameter (a list of elementwise op names) on
-any matmul-family node, applied in place on the output buffer.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-__all__ = ["TraceAborted", "Node", "Graph", "MATMUL_KINDS", "ELEMENTWISE_OPS"]
-
-#: node kinds whose executors write into a preallocated output buffer and can
-#: therefore absorb an in-place elementwise epilogue
-MATMUL_KINDS = (
-    "linear", "qlinear_mm", "qlinear_stream_mm", "qlinear", "qlinear_stream", "matmul2", "ew2"
-)
-
-#: ops a single-input ``ew`` node may carry (and a ``fused_ew``/epilogue chain)
-ELEMENTWISE_OPS = ("relu", "sigmoid", "tanh", "gelu", "silu")
+__all__ = ["TraceAborted", "Node", "Graph"]
 
 
 class TraceAborted(RuntimeError):
@@ -86,17 +68,10 @@ class Graph:
         Topologically ordered operations (trace order).
     input_slots:
         Slot id per positional model input.
-    input_specs:
-        Per input: ``(wrapped, dtype_str, shape)`` where ``wrapped`` records
-        whether the traced call received a ``Tensor`` (quantized wrappers only
-        Q/DQ ``Tensor`` inputs, so replay must preserve the distinction).
     output_slot:
         Slot holding the forward's result.
     num_slots:
         Total slots allocated by the trace.
-    slot_meta:
-        ``slot -> (shape, dtype)`` for every slot, recorded from the real
-        values seen during tracing; used to preallocate plan buffers.
     modules:
         Every module the trace touched (recorded leaves *and* containers
         traced through, including the subtree of opaque ``call_module``
@@ -108,28 +83,15 @@ class Graph:
         self,
         nodes: List[Node],
         input_slots: Tuple[int, ...],
-        input_specs: Tuple[Tuple[bool, str, Tuple[int, ...]], ...],
         output_slot: int,
         num_slots: int,
-        slot_meta: Dict[int, Tuple[Tuple[int, ...], Any]],
         modules: List[Any],
     ) -> None:
         self.nodes = nodes
         self.input_slots = tuple(input_slots)
-        self.input_specs = tuple(input_specs)
         self.output_slot = int(output_slot)
         self.num_slots = int(num_slots)
-        self.slot_meta = slot_meta
         self.modules = modules
-
-    def consumers(self) -> Dict[int, List[int]]:
-        """Map ``slot -> indices of nodes reading it`` (graph output counts as a reader)."""
-        readers: Dict[int, List[int]] = {}
-        for index, node in enumerate(self.nodes):
-            for slot in node.inputs:
-                readers.setdefault(slot, []).append(index)
-        readers.setdefault(self.output_slot, []).append(-1)
-        return readers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kinds = ", ".join(node.kind for node in self.nodes)

@@ -74,7 +74,6 @@ class Tracer:
         self._slots: Dict[int, int] = {}
         self._keepalive: List[np.ndarray] = []
         self._num_slots = 0
-        self._slot_meta: Dict[int, Tuple[Tuple[int, ...], Any]] = {}
         self._modules: List[Module] = []
         self._module_ids: set = set()
 
@@ -91,7 +90,6 @@ class Tracer:
             self._num_slots += 1
             self._slots[key] = slot
             self._keepalive.append(data)
-            self._slot_meta[slot] = (data.shape, data.dtype)
         return slot
 
     def slot_of(self, value: Any) -> int:
@@ -181,7 +179,7 @@ class Tracer:
         raise TraceAborted(f"no trace emitter registered for leaf {type(module).__name__}")
 
     # ------------------------------------------------------------------
-    def build(self, input_slots: Tuple[int, ...], input_specs, output: Any) -> Graph:
+    def build(self, input_slots: Tuple[int, ...], output: Any) -> Graph:
         out_data = _as_data(output)
         out_slot = self._slots.get(id(out_data))
         if out_slot is None:
@@ -192,10 +190,8 @@ class Tracer:
         return Graph(
             nodes=self._nodes,
             input_slots=input_slots,
-            input_specs=input_specs,
             output_slot=out_slot,
             num_slots=self._num_slots,
-            slot_meta=self._slot_meta,
             modules=self._modules,
         )
 
@@ -217,20 +213,17 @@ def trace(model: Module, args: tuple, kwargs: Optional[dict] = None) -> TraceRes
 
     tracer = Tracer()
     input_slots = []
-    input_specs = []
     for arg in args:
         if not isinstance(arg, (Tensor, np.ndarray)):
             raise TraceAborted(f"non-array model input of type {type(arg).__name__}")
-        data = _as_data(arg)
         input_slots.append(tracer.tag(arg))
-        input_specs.append((isinstance(arg, Tensor), data.dtype.str, data.shape))
 
     _set_active_tracer(tracer)
     try:
         output = model(*args)
     finally:
         _set_active_tracer(None)
-    graph = tracer.build(tuple(input_slots), tuple(input_specs), output)
+    graph = tracer.build(tuple(input_slots), output)
     return TraceResult(graph, output)
 
 
@@ -299,24 +292,6 @@ def _emit_batch_matmul(tracer: Tracer, module: BatchMatMul, args: tuple, kwargs:
     return output
 
 
-@register_trace_leaf(Embedding)
-def _emit_embedding(tracer: Tracer, module: Embedding, args: tuple, kwargs: dict):
-    (indices,) = args
-    idx_slot = tracer.slot_of(indices)
-    output = module.forward(indices)
-    tracer.record("embedding", (idx_slot,), output, module=module)
-    return output
-
-
-@register_trace_leaf(EmbeddingBag)
-def _emit_embedding_bag(tracer: Tracer, module: EmbeddingBag, args: tuple, kwargs: dict):
-    (indices,) = args
-    idx_slot = tracer.slot_of(indices)
-    output = module.forward(indices)
-    tracer.record("embedding_bag", (idx_slot,), output, module=module, mode=module.mode)
-    return output
-
-
 @register_trace_leaf(Flatten)
 def _emit_flatten(tracer: Tracer, module: Flatten, args: tuple, kwargs: dict):
     (x,) = args
@@ -353,26 +328,19 @@ def _emit_layer_norm(tracer: Tracer, module: LayerNorm, args: tuple, kwargs: dic
     return output
 
 
-@register_trace_leaf(_BatchNorm)
-def _emit_batch_norm(tracer: Tracer, module: _BatchNorm, args: tuple, kwargs: dict):
-    if module.training or module.calibrating:
-        raise TraceAborted("BatchNorm updates running stats; served eagerly")
-    (x,) = args
-    x_slot = tracer.slot_of(x)
-    output = module.forward(x)
-    tracer.record("batch_norm", (x_slot,), output, module=module)
-    return output
-
-
 def _register_opaque(cls):
     """Record the whole module call as one ``call_module`` node.
 
     Safe only for modules that are pure functions of their inputs in eval
-    mode; replay calls the module again with the same argument wrapping.
+    mode; replay calls the module again with the same argument wrapping.  A
+    leaf in training mode (a BatchNorm updating its running stats, say)
+    aborts the trace.
     """
 
     @register_trace_leaf(cls)
     def _emit(tracer: Tracer, module: Module, args: tuple, kwargs: dict):
+        if module.training:
+            raise TraceAborted(f"{type(module).__name__} is in training mode; served eagerly")
         for key, value in kwargs.items():
             if isinstance(value, (Tensor, np.ndarray)):
                 raise TraceAborted(f"array keyword argument {key!r} on an opaque leaf")
@@ -397,6 +365,9 @@ def _register_opaque(cls):
 
 
 _register_opaque(Conv2d)
+_register_opaque(_BatchNorm)
+_register_opaque(Embedding)
+_register_opaque(EmbeddingBag)
 _register_opaque(GroupNorm)
 _register_opaque(MaxPool2d)
 _register_opaque(AvgPool2d)

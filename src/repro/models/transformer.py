@@ -404,7 +404,6 @@ class GPTStyleLM(nn.Module):
         prompt: np.ndarray,
         max_new_tokens: int = 32,
         beam_size: int = 1,
-        rng: RngLike = None,
         use_cache: bool = True,
         kv_cache: str = "float32",
         eos_token: Optional[int] = None,

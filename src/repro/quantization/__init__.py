@@ -55,7 +55,6 @@ from repro.quantization.workflow import (
     convert_model,
     quantize_model,
     deploy_model,
-    compile_model,
     set_serving_mode,
     storage_report,
     resident_report,
@@ -104,7 +103,6 @@ __all__ = [
     "convert_model",
     "quantize_model",
     "deploy_model",
-    "compile_model",
     "set_serving_mode",
     "storage_report",
     "resident_report",

@@ -12,7 +12,7 @@ exposed here and swept by ``benchmarks/bench_figure7_bn_calibration.py``.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ logger = get_logger("quantization.bn_calibration")
 
 def calibrate_batchnorm(
     model: Module,
-    calibration_data: Union[ArrayDataset, np.ndarray],
+    calibration_data: Union[ArrayDataset, np.ndarray, Sequence[np.ndarray]],
     prepare_inputs: Callable[[np.ndarray], object] = lambda x: Tensor(x),
     num_samples: int = 3000,
     transform: str = "training",
@@ -46,9 +46,10 @@ def calibrate_batchnorm(
     model:
         A (typically already quantized) model containing BatchNorm modules.
     calibration_data:
-        Source images; sampled with replacement up to ``num_samples`` so the
-        paper's 300 / 3000 / 10000 sample-size sweep works even from a small
-        calibration pool.
+        Source images: an ``ArrayDataset``, one array of samples, or a
+        sequence of input batches (pooled into one array).  Sampled with
+        replacement up to ``num_samples`` so the paper's 300 / 3000 / 10000
+        sample-size sweep works even from a small calibration pool.
     transform:
         ``"training"`` (random shift/flip/noise, the paper's recommendation) or
         ``"inference"`` (no augmentation).
@@ -68,8 +69,10 @@ def calibrate_batchnorm(
 
     if isinstance(calibration_data, ArrayDataset):
         pool = calibration_data.inputs
+    elif isinstance(calibration_data, np.ndarray):
+        pool = calibration_data
     else:
-        pool = np.asarray(calibration_data)
+        pool = np.concatenate([np.asarray(batch) for batch in calibration_data])
 
     rng = seeded_rng(seed)
     idx = rng.choice(len(pool), size=num_samples, replace=num_samples > len(pool))

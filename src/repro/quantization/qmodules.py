@@ -711,21 +711,17 @@ class QuantizedLinear(QuantizedModule):
         recorded).
         """
         (x,) = self._process_inputs((x,))
-        x_np = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float32)
-        return Tensor(self._stream_matmul(x_np))
+        return Tensor(self._stream_matmul(x.data if isinstance(x, Tensor) else x))
 
-    def _stream_matmul(self, x_np: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The blocked streaming matmul on an already-processed float32 input.
+    def _stream_matmul(self, x: np.ndarray) -> np.ndarray:
+        """The blocked streaming matmul on an already-processed input array.
 
-        Shared by the eager forward and the compiled-plan executor
-        (:mod:`repro.graph.plan`), which is what keeps plan replay
-        structurally bit-identical to eager in streaming mode.
+        The eager forward and the plan's ``qlinear_stream_mm`` step both
+        call this, so replay is bit-identical to eager in streaming mode.
         """
+        x_np = np.asarray(x, dtype=np.float32)
         wq = self.weight_q
-        out_features = wq.shape[0]
-        y = out
-        if y is None:
-            y = np.empty(x_np.shape[:-1] + (out_features,), dtype=np.float32)
+        y = np.empty(x_np.shape[:-1] + (wq.shape[0],), dtype=np.float32)
         for start, stop, w_block in self._iter_weight_blocks():
             np.matmul(x_np, w_block.T, out=y[..., start:stop])
         bias = getattr(self.inner, "bias", None)
@@ -734,12 +730,8 @@ class QuantizedLinear(QuantizedModule):
         return y
 
     def trace_emit(self, tracer, args, kwargs):
-        """Emit ``qdq`` + ``qlinear_(stream_)mm`` nodes (fused downstream).
-
-        The fusion pass collapses the pair into one ``qlinear`` /
-        ``qlinear_stream`` node whose executor runs the activation Q/DQ
-        through the fused per-axis kernel and feeds the matmul directly.
-        """
+        """Emit a ``qdq`` node (when the activation is quantized) and a
+        ``qlinear_mm`` (cached) or ``qlinear_stream_mm`` (streaming) node."""
         if kwargs:
             return None
         (x,) = args
@@ -755,8 +747,7 @@ class QuantizedLinear(QuantizedModule):
             mm_in = Tensor(self.input_quantizers[0].quantize(x.data))
             x_slot = tracer.record("qdq", (x_slot,), mm_in, module=self, index=0)
         if self._is_streaming():
-            x_np = mm_in.data if isinstance(mm_in, Tensor) else np.asarray(mm_in, np.float32)
-            output = Tensor(self._stream_matmul(x_np))
+            output = Tensor(self._stream_matmul(mm_in.data if isinstance(mm_in, Tensor) else mm_in))
             tracer.record("qlinear_stream_mm", (x_slot,), output, module=self)
         else:
             self._bind_weight()
@@ -805,18 +796,9 @@ class QuantizedEmbedding(QuantizedModule):
         return self.inner(indices, **kwargs)
 
     def trace_emit(self, tracer, args, kwargs):
-        """Emit one ``qembed`` node; replay calls ``forward`` (cached or
-        gather-decode, resolved at replay time — serving-mode flips invalidate
-        the plan through the state epoch anyway)."""
-        if kwargs:
-            return None
-        (indices,) = args
-        idx_slot = tracer.slot_of(indices)
-        output = self.forward(indices)
-        tracer.record(
-            "qembed", (idx_slot,), output, module=self, wrapped=isinstance(indices, Tensor)
-        )
-        return output
+        """One opaque node in either serving mode: replay calls the wrapper,
+        whose ``forward`` runs the cached lookup or the gather-decode."""
+        return self._trace_emit_opaque(tracer, args, kwargs)
 
     def _forward_streaming(self, indices, **kwargs):
         """Gather-decode: pull only the looked-up rows out of packed storage.

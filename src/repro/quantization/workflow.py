@@ -38,7 +38,6 @@ __all__ = [
     "quantize_model",
     "deploy_model",
     "set_serving_mode",
-    "compile_model",
     "storage_report",
     "resident_report",
     "find_first_last_operators",
@@ -364,68 +363,12 @@ def resident_report(model: Union[Module, Sequence[Module]]) -> dict:
                 for array in module.weight_resident_arrays():
                     _tally(array)
     resident = int(sum(storages.values()))
-    report = {
+    return {
         "resident_bytes": resident,
         "mapped_bytes": int(sum(mapped.values())),
         "fp32_bytes": int(fp32_bytes),
         "ratio": resident / fp32_bytes if fp32_bytes else 1.0,
     }
-    plan_stats = _aggregate_plan_stats(models)
-    if plan_stats is not None:
-        report["plan_cache"] = plan_stats
-    return report
-
-
-def _aggregate_plan_stats(models: Sequence[Module]) -> Optional[dict]:
-    """Summed plan-cache counters across every model carrying a cache, or None."""
-    from repro.graph import plan_cache_of
-
-    totals: Optional[dict] = None
-    for entry in models:
-        cache = plan_cache_of(entry)
-        if cache is None:
-            continue
-        stats = cache.stats()
-        if totals is None:
-            totals = dict(stats)
-        else:
-            for key, value in stats.items():
-                totals[key] += value
-    return totals
-
-
-def compile_model(model: Module, example_inputs, max_plans: int = 32):
-    """Install a plan cache on ``model`` and warm it with example inputs.
-
-    ``example_inputs`` is one argument tuple (or a sequence of argument
-    tuples) of ``Tensor``/ndarray values representative of serving traffic.
-    Each tuple is traced, fused and compiled under ``no_grad`` exactly as the
-    first live forward for its key would be; shapes not warmed here still
-    compile lazily on first sight.  The model is put in ``eval()`` mode —
-    compiled plans only ever dispatch for inference forwards.
-
-    Returns the installed :class:`~repro.graph.cache.PlanCache` (also
-    reachable afterwards via :func:`repro.graph.plan_cache_of`; counters show
-    up in :func:`resident_report` under ``"plan_cache"``).
-    """
-    from repro.graph import install_plan_cache
-
-    model.eval()
-    cache = install_plan_cache(model, max_plans=max_plans)
-    if example_inputs is None:
-        batches = []
-    elif isinstance(example_inputs, (list,)) and all(
-        isinstance(item, tuple) for item in example_inputs
-    ):
-        batches = example_inputs
-    elif isinstance(example_inputs, tuple):
-        batches = [example_inputs]
-    else:
-        batches = [(example_inputs,)]
-    with no_grad():
-        for batch in batches:
-            model(*batch)
-    return cache
 
 
 def quantize_model(

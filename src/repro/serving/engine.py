@@ -196,13 +196,13 @@ class ServingEngine:
         Compiled-plan dispatch for worker forwards (see :mod:`repro.graph`).
         ``True`` (default) installs a plan cache on each distinct replica:
         the first forward for a scheduler compat-key traces and compiles a
-        fused plan, and steady-state batched traffic replays it with zero
-        per-layer Python dispatch (plan lookup is thread-safe; replay buffers
-        are per-thread, so shared-model workers replay concurrently).  Eager
-        execution remains the fallback — and the bit-exactness oracle — for
-        untraceable models, so ``True`` is always safe.  ``False`` disables
-        plan dispatch entirely.  Aggregated cache counters appear in
-        :attr:`stats` under ``"plan_cache"``.
+        plan, and steady-state batched traffic replays it with zero
+        per-layer module dispatch (plan lookup is thread-safe and replay
+        allocates its results as eager does, so shared-model workers replay
+        concurrently).  Eager execution remains the fallback — and the
+        bit-exactness oracle — for untraceable models, so ``True`` is
+        always safe.  ``False`` disables plan dispatch entirely.  Aggregated
+        cache counters appear in :attr:`stats` under ``"plan_cache"``.
     decode_slots:
         KV-cache row budget of the generation tier (see :meth:`generate`):
         how many beams may decode concurrently before new arrivals queue or

@@ -1,8 +1,10 @@
 """Grad-free forwards are the taped forwards, bit for bit, without the tape.
 
 When grad is off (``no_grad``), or no input requires grad, an op builds no
-autograd tape, and ``F.linear`` / ``F.layer_norm`` / ``F.softmax`` run their
-numpy sequence directly instead of one tensor per sub-op.  The contract:
+autograd tape: each op computes its one array function (``linear_array``,
+``layer_norm_array``, ``softmax_array``, ``gelu_parts``, ...) either way and
+``Tensor._make`` records a tape entry only when a gradient is needed.  The
+contract:
 
 * the output is bit-identical to the taped output (grad on, inputs requiring
   grad), NaN payloads and signed zeros included;
@@ -10,6 +12,9 @@ numpy sequence directly instead of one tensor per sub-op.  The contract:
   backward closure;
 * whole models — an encoder classifier, a cached decode step with an E4M3 KV
   cache and a CNN — give the same bits both ways.
+
+Since both calls of an op run the same array function, the per-op cases
+mainly check the second point; the whole-model cases pin the forward bits.
 """
 
 import numpy as np

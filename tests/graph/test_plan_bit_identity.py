@@ -1,7 +1,7 @@
 """Plan replay == eager, bit for bit (the compiled path's core contract).
 
 Eager execution is the oracle: for every model the plan cache can compile,
-replaying the fused plan must produce byte-identical outputs.  Hypothesis
+replaying the plan must produce byte-identical outputs.  Hypothesis
 drives the inputs; the configuration grid covers FP8 formats x weight
 granularities x serving modes on both FP8 decode paths (the compiled kernel
 and numpy).

@@ -1,8 +1,9 @@
 """Concurrent plan dispatch: one shared model, many threads, zero cross-talk.
 
-Replay buffers are per-thread and plan lookup holds the cache lock only for
-the dictionary access, so concurrent forwards on a shared model must be both
-safe (no torn buffers) and bit-exact (every thread sees the eager answer).
+Replay allocates its results as eager does and plan lookup holds the cache
+lock only for the dictionary access, so concurrent forwards on a shared model
+must be both safe (no shared intermediates) and bit-exact (every thread sees
+the eager answer).
 """
 
 import threading
@@ -34,7 +35,7 @@ def test_concurrent_replay_is_bit_exact():
     model.eval()
     rng = np.random.default_rng(5)
     # distinct per-thread inputs, all the same shape -> all threads share ONE
-    # plan and race on its lookup; buffers must still be isolated per thread
+    # plan and race on its lookup; no thread may see another's intermediates
     inputs = [rng.normal(0.0, 1.0, (3, WIDTH)).astype(np.float32) for _ in range(THREADS)]
     with no_grad():
         expected = [model(Tensor(x)).data.copy() for x in inputs]

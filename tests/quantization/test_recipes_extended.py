@@ -149,6 +149,22 @@ class TestBatchNormCalibration:
             model_a.get_submodule("1").running_var, model_b.get_submodule("1").running_var
         )
 
+    def test_sequence_of_batches_pools_like_a_dataset(self):
+        # quantize_model takes calibration data as an ArrayDataset or a
+        # sequence of input batches; BN calibration pools the batches, so both
+        # forms sample the same images and give the same statistics
+        data = make_classification_images(n_samples=64, rng=0)
+        recipe = standard_recipe("E4M3", batchnorm_calibration=True)
+        recipe.bn_calibration_samples = 64
+        results = [
+            quantize_model(self._cnn(), recipe, calibration_data=source)
+            for source in (data, [data.inputs[:32], data.inputs[32:]])
+        ]
+        assert all(result.batchnorm_calibrated for result in results)
+        bn_a, bn_b = (result.model.get_submodule("1") for result in results)
+        np.testing.assert_array_equal(bn_a.running_mean, bn_b.running_mean)
+        np.testing.assert_array_equal(bn_a.running_var, bn_b.running_var)
+
     def test_recipe_level_bn_calibration(self, cnn_bundle):
         recipe = extended_recipe("E3M4", batchnorm_calibration=True)
         recipe.bn_calibration_samples = 256
