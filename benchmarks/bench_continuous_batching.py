@@ -141,7 +141,6 @@ def _streaming_model(layers: int, features: int, seed: int = 7):
     result = quantize_model(
         _build_mlp(layers, features, seed),
         standard_recipe("E4M3", approach=Approach.DYNAMIC),
-        deploy=True,
         serving_mode="streaming",
     )
     return result.model
@@ -287,7 +286,6 @@ def _worker_checkpoint(tmp: str) -> str:
     result = quantize_model(
         _build_mlp(WORKER_LAYERS, WORKER_FEATURES, seed=11),
         standard_recipe("E4M3", approach=Approach.DYNAMIC),
-        deploy=True,
         serving_mode="streaming",
     )
     path = os.path.join(tmp, "workers.rpq")
@@ -373,7 +371,6 @@ def _process_checkpoint(tmp: str) -> str:
     result = quantize_model(
         _process_factory(),
         standard_recipe("E4M3", approach=Approach.DYNAMIC),
-        deploy=True,
     )
     path = os.path.join(tmp, "process.rpq")
     save_quantized(result.model, path, recipe=result.recipe)
@@ -547,7 +544,6 @@ def measure_engine_identity():
     cached = quantize_model(
         _build_mlp(STAGGER_LAYERS, STAGGER_FEATURES, seed=23),
         standard_recipe("E4M3", approach=Approach.DYNAMIC),
-        deploy=True,
     ).model
     rng = np.random.default_rng(29)
     samples = [

@@ -11,7 +11,9 @@ Gates:
 
 * plan replay >= 1.3x eager on a plain float32 MLP (depth 32, width 128,
   batch 2) under ``no_grad`` — override with ``REPRO_BENCH_PLAN_MIN_SPEEDUP``
-  (CI uses a looser bound on contended shared runners);
+  (CI uses a looser bound on contended shared runners).  Eager and replay
+  forwards are interleaved on one installed cache, so host load that comes
+  and goes lands on both sides alike;
 * plan replay is **bit-identical** to eager on the float model and on an
   E4M3-dynamic quantized model in the cached and streaming serving modes,
   and the quantized forwards genuinely compile (no silent eager fallback).
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from repro import nn
 from repro.autograd.tensor import Tensor, no_grad
 from repro.evaluation.reporting import format_table
 from repro.graph import install_plan_cache, remove_plan_cache
+from repro.nn.module import suspend_plan_dispatch
 from repro.quantization import quantize_model, set_serving_mode, standard_recipe
 from repro.quantization.qconfig import Approach
 
@@ -47,7 +51,11 @@ BATCH = 2
 #: looser smoke bound via REPRO_BENCH_PLAN_MIN_SPEEDUP (shared-runner jitter).
 ACCEPTANCE_SPEEDUP = float(os.environ.get("REPRO_BENCH_PLAN_MIN_SPEEDUP", "1.3"))
 
+#: forwards per side in one round
 FORWARDS_PER_ROUND = 50
+#: timed rounds (each side's best one counts) and untimed warm-up rounds
+ROUNDS = 7
+WARMUP_ROUNDS = 2
 
 
 def build_mlp(depth: int = DEPTH, width: int = WIDTH, seed: int = 7) -> nn.Sequential:
@@ -65,31 +73,27 @@ def probe_batch(seed: int = 11) -> np.ndarray:
     return rng.normal(0.0, 1.0, (BATCH, WIDTH)).astype(np.float32)
 
 
-def _time(fn, rounds: int = 7, warmup: int = 2) -> float:
-    for _ in range(warmup):
-        fn()
-    best = np.inf
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def run_dispatch_speedup() -> dict:
-    """Time eager vs plan-replay forwards on the plain float32 deep MLP."""
+    """Time eager vs plan-replay forwards on the plain float32 deep MLP.
+
+    Both sides run on one installed cache, interleaved forward by forward:
+    each round times ``FORWARDS_PER_ROUND`` eager forwards (inside
+    ``suspend_plan_dispatch()``) and as many replays, alternating which side
+    goes first, so every round measures both sides under the same host load.
+    Best of ``ROUNDS`` per side.
+    """
     model = build_mlp()
     model.eval()
     x = Tensor(probe_batch())
 
-    def forwards():
-        with no_grad():
-            for _ in range(FORWARDS_PER_ROUND):
-                model(x)
+    def forward_s(eager: bool) -> float:
+        with suspend_plan_dispatch() if eager else nullcontext():
+            t0 = time.perf_counter()
+            model(x)
+            return time.perf_counter() - t0
 
     with no_grad():
         eager_out = model(x)
-    eager_s = _time(forwards)
 
     cache = install_plan_cache(model)
     with no_grad():
@@ -98,8 +102,23 @@ def run_dispatch_speedup() -> dict:
     stats = cache.stats()
     if stats["plans"] != 1 or stats["compiles"] != 1:
         raise AssertionError(f"float MLP did not compile to a plan: {stats}")
-    plan_s = _time(forwards)
+
+    best = {True: np.inf, False: np.inf}  # keyed by "eager?"
+    with no_grad():
+        for index in range(WARMUP_ROUNDS + ROUNDS):
+            spent = {True: 0.0, False: 0.0}
+            for step in range(FORWARDS_PER_ROUND):
+                first = (index + step) % 2 == 0
+                for eager in (first, not first):
+                    spent[eager] += forward_s(eager)
+            if index >= WARMUP_ROUNDS:
+                for eager, seconds in spent.items():
+                    best[eager] = min(best[eager], seconds)
+    replays = cache.stats()["hits"] - stats["hits"]
     remove_plan_cache(model)
+    if replays != (WARMUP_ROUNDS + ROUNDS) * FORWARDS_PER_ROUND:
+        raise AssertionError(f"replay forwards fell back to eager: {replays} replays")
+    eager_s, plan_s = best[True], best[False]
 
     if not np.array_equal(eager_out.data, plan_out.data):
         raise AssertionError("plan replay is not bit-identical to eager on the float MLP")

@@ -119,9 +119,7 @@ def _cold_checkpoint() -> dict:
     for _, module in model.named_modules():
         if isinstance(module, nn.Linear):
             module.weight.data[...] = row
-    result = quantize_model(
-        model, int8_recipe(approach=Approach.DYNAMIC), inplace=True, deploy=True
-    )
+    result = quantize_model(model, int8_recipe(approach=Approach.DYNAMIC), inplace=True)
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-serving-")
     path = os.path.join(tmp.name, "cold.rpq")
     file_bytes = save_quantized(result.model, path, recipe=result.recipe)
@@ -215,7 +213,6 @@ def measure_batched_throughput():
     result = quantize_model(
         build_serve_model(),
         standard_recipe("E4M3", approach=Approach.DYNAMIC),
-        deploy=True,
         serving_mode="streaming",
     )
     model = result.model

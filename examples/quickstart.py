@@ -4,8 +4,9 @@ Trains a small image classifier on a synthetic task (stand-in for a pretrained
 checkpoint), quantizes it with the paper's standard E4M3 recipe, and compares
 accuracy against the FP32 baseline and the INT8 baseline.  Then walks the
 deployment leg: save the converted model as a packed single-file checkpoint,
-reload it into a fresh model (restore-free, streaming serving mode — resident
-weight bytes stay at the packed footprint) and evaluate it again.
+reload it into a fresh model (streaming serving mode — the packed codes are
+the only weight storage, so resident weight bytes stay at the packed
+footprint) and evaluate it again.
 
 Run with:  python examples/quickstart.py
 """

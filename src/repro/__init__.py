@@ -17,8 +17,8 @@ The package is organised as:
     The experiment harness that regenerates every table and figure.
 ``repro.serialization``
     Packed single-file checkpoints: save/load converted models without ever
-    materialising float32 weights, for restore-free deployment serving —
-    including zero-copy mmap loads where codes are paged in on first touch.
+    materialising float32 weights — including zero-copy mmap loads where
+    codes are paged in on first touch.
 ``repro.serving``
     The throughput layer: a batched request engine over one served model and
     cross-layer pipelined block prefetch for the streaming weight path.

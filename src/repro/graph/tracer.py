@@ -129,6 +129,25 @@ class Tracer:
                 )
             self.touch(sub)
 
+    def record_opaque(self, module: Module, args: tuple, kwargs: dict):
+        """Run ``module`` on ``args`` and record the call as one ``call_module`` node.
+
+        Replay calls the module again with the same argument wrapping, so the
+        whole subtree is touched (see :meth:`touch_tree`).  Array keyword
+        arguments would not be part of the plan key, so they abort the trace.
+        """
+        for key, value in kwargs.items():
+            if isinstance(value, (Tensor, np.ndarray)):
+                raise TraceAborted(f"array keyword argument {key!r} on an opaque leaf")
+        self.touch_tree(module)
+        slots = tuple(self.slot_of(arg) for arg in args)
+        wrapped = tuple(isinstance(arg, Tensor) for arg in args)
+        output = module.forward(*args, **kwargs)
+        self.record(
+            "call_module", slots, output, module=module, wrapped=wrapped, kwargs=dict(kwargs)
+        )
+        return output
+
     @contextmanager
     def suspended(self):
         """Run leaf internals eagerly without re-entering this tracer."""
@@ -332,34 +351,15 @@ def _register_opaque(cls):
     """Record the whole module call as one ``call_module`` node.
 
     Safe only for modules that are pure functions of their inputs in eval
-    mode; replay calls the module again with the same argument wrapping.  A
-    leaf in training mode (a BatchNorm updating its running stats, say)
-    aborts the trace.
+    mode.  A leaf in training mode (a BatchNorm updating its running stats,
+    say) aborts the trace.
     """
 
     @register_trace_leaf(cls)
     def _emit(tracer: Tracer, module: Module, args: tuple, kwargs: dict):
         if module.training:
             raise TraceAborted(f"{type(module).__name__} is in training mode; served eagerly")
-        for key, value in kwargs.items():
-            if isinstance(value, (Tensor, np.ndarray)):
-                raise TraceAborted(f"array keyword argument {key!r} on an opaque leaf")
-        tracer.touch_tree(module)
-        slots = []
-        wrapped = []
-        for arg in args:
-            slots.append(tracer.slot_of(arg))
-            wrapped.append(isinstance(arg, Tensor))
-        output = module(*args, **kwargs)
-        tracer.record(
-            "call_module",
-            tuple(slots),
-            output,
-            module=module,
-            wrapped=tuple(wrapped),
-            kwargs=dict(kwargs),
-        )
-        return output
+        return tracer.record_opaque(module, args, kwargs)
 
     return _emit
 

@@ -6,8 +6,8 @@ The quantization framework relies on four capabilities of :class:`Module`:
   quantize (standard vs extended scheme, first/last operator detection);
 * ``get_submodule`` / ``set_submodule`` — swap a float module for its
   quantized counterpart in place;
-* ``state_dict`` / ``load_state_dict`` — snapshot and restore trained weights
-  (used by the tuning loop to try recipes from the same starting point);
+* ``state_dict`` / ``load_state_dict`` — snapshot and reload trained weights
+  (and, through extra state, the packed weights of quantized wrappers);
 * ``train()`` / ``eval()`` — BatchNorm calibration runs the model in a special
   statistics-update mode without touching learnable parameters.
 
@@ -155,8 +155,8 @@ def state_epoch() -> int:
     """Monotonic counter bumped whenever plan-relevant module state changes.
 
     Deliberately global and coarse: any ``load_state_dict``, submodule
-    replacement or quantization lifecycle transition (convert / restore /
-    deploy / serving-mode change) anywhere in the process invalidates every
+    replacement or quantization lifecycle transition (calibration start/stop,
+    convert, serving-mode change) anywhere in the process invalidates every
     cached plan.  Re-tracing is cheap relative to the traffic a plan serves,
     and a global integer keeps the per-forward validity check O(1).
     """
@@ -323,7 +323,7 @@ class Module:
     def state_dict_excluded_keys(self) -> Tuple[str, ...]:
         """Module-local parameter/buffer names omitted from :meth:`state_dict`.
 
-        Deployed quantization wrappers exclude their bound weight view here:
+        Converted quantization wrappers exclude their bound weight view here:
         the packed codes in the extra state are the storage of record and the
         float32 view must never be materialised just to snapshot it.
         """
@@ -385,9 +385,9 @@ class Module:
                     )
                 if not params[name].data.flags.writeable:
                     raise RuntimeError(
-                        f"cannot load {name}: the parameter is a read-only deployment "
-                        "placeholder (the model was deployed restore-free; load packed "
-                        "checkpoints with repro.serialization.load_quantized instead)"
+                        f"cannot load {name}: the parameter is read-only because it is "
+                        "derived from packed 8-bit codes; load a packed checkpoint with "
+                        "repro.serialization.load_quantized or re-quantize the float model"
                     )
                 params[name].data[...] = value
             elif name in buffers:

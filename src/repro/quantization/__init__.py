@@ -54,7 +54,6 @@ from repro.quantization.workflow import (
     calibrate_model,
     convert_model,
     quantize_model,
-    deploy_model,
     set_serving_mode,
     storage_report,
     resident_report,
@@ -102,7 +101,6 @@ __all__ = [
     "calibrate_model",
     "convert_model",
     "quantize_model",
-    "deploy_model",
     "set_serving_mode",
     "storage_report",
     "resident_report",

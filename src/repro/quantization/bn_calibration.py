@@ -24,9 +24,38 @@ from repro.nn.norm import _BatchNorm
 from repro.utils.logging import get_logger
 from repro.utils.seeding import seeded_rng
 
-__all__ = ["calibrate_batchnorm"]
+__all__ = ["calibrate_batchnorm", "bn_calibration_pool"]
 
 logger = get_logger("quantization.bn_calibration")
+
+
+def bn_calibration_pool(
+    calibration_data: Union[ArrayDataset, np.ndarray, Sequence[np.ndarray]],
+) -> np.ndarray:
+    """The raw sample array BatchNorm calibration draws (and augments) from.
+
+    Accepts an ``ArrayDataset``, one ndarray of samples, or a list/tuple of
+    ndarray batches (concatenated).  Anything else — notably batches already
+    passed through ``prepare_inputs`` (Tensors, tuples) — raises
+    ``TypeError``: augmentation needs the raw image arrays.
+    """
+    if isinstance(calibration_data, ArrayDataset):
+        return calibration_data.inputs
+    if isinstance(calibration_data, np.ndarray):
+        return calibration_data
+    if (
+        isinstance(calibration_data, (list, tuple))
+        and calibration_data
+        and all(isinstance(batch, np.ndarray) for batch in calibration_data)
+    ):
+        return np.concatenate(calibration_data)
+    got = type(calibration_data).__name__
+    if isinstance(calibration_data, (list, tuple)):
+        got += f" of {sorted({type(batch).__name__ for batch in calibration_data})}"
+    raise TypeError(
+        "BatchNorm calibration augments raw samples, so it takes an ArrayDataset, one "
+        f"ndarray of samples, or a sequence of ndarray batches; got {got}"
+    )
 
 
 def calibrate_batchnorm(
@@ -47,7 +76,8 @@ def calibrate_batchnorm(
         A (typically already quantized) model containing BatchNorm modules.
     calibration_data:
         Source images: an ``ArrayDataset``, one array of samples, or a
-        sequence of input batches (pooled into one array).  Sampled with
+        sequence of ndarray batches (pooled into one array; see
+        :func:`bn_calibration_pool`).  Sampled with
         replacement up to ``num_samples`` so the paper's 300 / 3000 / 10000
         sample-size sweep works even from a small calibration pool.
     transform:
@@ -67,13 +97,7 @@ def calibrate_batchnorm(
     if not bn_modules:
         return 0
 
-    if isinstance(calibration_data, ArrayDataset):
-        pool = calibration_data.inputs
-    elif isinstance(calibration_data, np.ndarray):
-        pool = calibration_data
-    else:
-        pool = np.concatenate([np.asarray(batch) for batch in calibration_data])
-
+    pool = bn_calibration_pool(calibration_data)
     rng = seeded_rng(seed)
     idx = rng.choice(len(pool), size=num_samples, replace=num_samples > len(pool))
     samples = pool[idx]

@@ -11,24 +11,24 @@ working after conversion.
 Weight storage follows the packed memory model of :mod:`repro.fp8.quantize`:
 ``convert()`` packs the weight **once** into a
 :class:`~repro.fp8.quantize.QuantizedTensor` (one byte per element plus
-per-channel scales) and never writes into the original float32 array.  The
-float32 view the wrapped operator computes with is dequantized from the
-packed codes and cached; :meth:`QuantizedModule.drop_weight_cache` releases
-it again (the packed codes stay authoritative and the next forward
-re-materialises it), and ``restore()`` re-binds the pristine original.  Activation Q/DQ routes through the
+per-channel scales), and from then on the packed codes are the weight's only
+storage of record — no float32 original is kept.  The wrapped operator
+computes with a read-only float32 view dequantized from the codes;
+:meth:`QuantizedModule.drop_weight_cache` releases it (the next forward
+re-materialises it from the codes).  Activation Q/DQ routes through the
 fused per-axis kernels (one absmax → scale → round → rescale call per tensor,
 no materialised broadcast scale arrays).
 
-Serving modes and deployment
-----------------------------
+Serving modes
+-------------
 After conversion a wrapper serves in one of two modes
 (:meth:`QuantizedModule.set_serving_mode`):
 
 * ``"cached"`` (default) — the float32 weight view is dequantized once and
-  kept; fastest, resident bytes ≈ packed + dense float32.
+  kept; fastest, resident bytes ≈ packed + dense float32 (≈ 1.25× fp32).
 * ``"streaming"`` — packed codes are decoded on the fly inside each forward
-  call and no persistent float32 view is kept.  :class:`QuantizedLinear`
-  streams the matmul in output-channel blocks
+  call and no persistent float32 view is kept (≈ 0.25× fp32).
+  :class:`QuantizedLinear` streams the matmul in output-channel blocks
   (:meth:`~repro.fp8.quantize.QuantizedTensor.dequantize_block`), and
   :class:`QuantizedEmbedding` decodes only the gathered rows, so the dense
   weight is never materialised at all; other operators decode transiently
@@ -37,12 +37,11 @@ After conversion a wrapper serves in one of two modes
   decodes the blocks ahead on a shared pool across layer boundaries (see
   :mod:`repro.serving.prefetch`); the blocks are the same either way.
 
-:meth:`QuantizedModule.drop_originals` enters *deployment* (restore-free)
-mode: the pristine original float32 weight is discarded, ``restore()``
-raises, and whenever the dequant cache is dropped the bound weight becomes a
-4-byte broadcast placeholder — resident weight bytes approach the packed
-footprint.  ``quantize_model(..., deploy=True)`` and
-``repro.serialization.load_quantized`` produce models in this mode.
+Whenever no view is materialised (streaming mode, after
+``drop_weight_cache()``, or right after a checkpoint load) ``inner.weight`` is
+bound to a read-only, 4-byte broadcast placeholder with the weight's shape.
+To change a converted weight, re-quantize the float model or load a packed
+checkpoint; the bound float32 array is derived and cannot be written.
 """
 
 from __future__ import annotations
@@ -279,12 +278,8 @@ class QuantizedModule(Module):
             )
         #: packed 8-bit storage of record for the quantized weight
         self.weight_q: Optional[QuantizedTensor] = None
-        #: lazily dequantized float32 compute view of ``weight_q``
+        #: lazily dequantized, read-only float32 compute view of ``weight_q``
         self._weight_cache: Optional[np.ndarray] = None
-        #: the pristine original float32 weight array (never written to)
-        self._original_weight: Optional[np.ndarray] = None
-        #: restore-free deployment mode: original dropped, restore() raises
-        self.deployed = False
         #: how the packed weight is served after conversion (see SERVING_MODES)
         self.serving_mode = "cached"
 
@@ -302,11 +297,11 @@ class QuantizedModule(Module):
     def convert(self) -> None:
         """Freeze activation ranges and pack the weight into 8-bit storage.
 
-        Idempotent: a second ``convert()`` on an already-converted module is a
-        no-op.  (It used to re-snapshot ``inner.weight`` — by then already
-        quantized — clobbering the original and turning ``restore()`` into a
-        no-op.)  ``convert()`` after ``restore()`` re-converts from the
-        restored original as before.
+        The packed codes replace the float32 weight: ``inner.weight`` is bound
+        to the read-only dequantized view (cached mode) or to the placeholder
+        (streaming mode), and the float32 array it held is released.
+        Idempotent: a second ``convert()`` leaves the codes and the bound view
+        unchanged.
         """
         if self.quantizing:
             self.observing = False
@@ -315,14 +310,8 @@ class QuantizedModule(Module):
         for quantizer, fallback in zip(self.input_quantizers, self._calibration_fallbacks()):
             quantizer.freeze(fallback=fallback)
         if self.weight_quantizer is not None:
-            weight = self.inner.weight.data
-            self.weight_q = self.weight_quantizer.quantize_packed(weight)
-            if self.weight_q is not None:
-                # Snapshot by copy: external in-place writes to the bound
-                # weight (e.g. load_state_dict) must not corrupt the pristine
-                # original that restore() hands back.
-                self._original_weight = weight.copy()
-                self._weight_cache = None
+            self.weight_q = self.weight_quantizer.quantize_packed(self.inner.weight.data)
+            self._weight_cache = None
         self.observing = False
         self.quantizing = True
         if self.serving_mode == "streaming":
@@ -332,37 +321,8 @@ class QuantizedModule(Module):
         else:
             # Bind the dequantized view now so the module's visible weights
             # (repr, forward) are the quantized ones from the moment of
-            # conversion; drop_weight_cache() returns to packed-at-rest.
+            # conversion.
             self._bind_weight()
-        bump_state_epoch()
-
-    def restore(self) -> None:
-        """Undo weight quantization (used by the tuning loop when falling back to FP32)."""
-        if self.deployed:
-            raise RuntimeError(
-                f"cannot restore {self.module_name or type(self).__name__}: the original "
-                "float32 weights were dropped (restore-free deployment mode); re-quantize "
-                "from the unquantized source model instead"
-            )
-        if self._original_weight is not None:
-            self.inner.weight.data = self._original_weight
-        self._original_weight = None
-        self._weight_cache = None
-        self.weight_q = None
-        self.quantizing = False
-        bump_state_epoch()
-
-    def drop_originals(self) -> None:
-        """Enter restore-free deployment mode: discard the pristine float32 original.
-
-        After this call the packed codes are the only storage of record for
-        the weight — ``restore()`` raises, and dropping the dequant cache
-        leaves a 4-byte broadcast placeholder bound as ``inner.weight`` so the
-        wrapper's resident weight bytes equal the packed footprint.
-        """
-        self.deployed = True
-        self._original_weight = None
-        self.drop_weight_cache()
         bump_state_epoch()
 
     def set_serving_mode(
@@ -424,11 +384,18 @@ class QuantizedModule(Module):
     # packed weight plumbing
     # ------------------------------------------------------------------
     def quantized_weight(self) -> Optional[np.ndarray]:
-        """The float32 compute view of the packed weight (dequantized on demand, cached)."""
+        """The float32 compute view of the packed weight (dequantized on demand, cached).
+
+        The view is read-only: it is derived from ``weight_q``, so a write
+        into it (``load_state_dict`` copying into the bound parameter, say)
+        would change what the wrapper serves but not what it saves.
+        """
         if self.weight_q is None:
             return None
         if self._weight_cache is None:
-            self._weight_cache = self.weight_q.dequantize()
+            view = self.weight_q.dequantize()
+            view.flags.writeable = False
+            self._weight_cache = view
         return self._weight_cache
 
     def _bind_weight(self) -> None:
@@ -439,41 +406,27 @@ class QuantizedModule(Module):
         if self.inner.weight.data is not cache:
             self.inner.weight.data = cache
 
-    def _weight_placeholder(self) -> np.ndarray:
-        """A read-only, 4-bytes-of-storage stand-in with the weight's shape.
-
-        Bound as ``inner.weight.data`` in deployment mode while the dequant
-        cache is dropped: shape/size introspection keeps working but no dense
-        float32 array is resident (``np.broadcast_to`` shares one zero).
-        """
-        return np.broadcast_to(np.zeros(1, dtype=np.float32), self.weight_q.shape)
-
     def drop_weight_cache(self) -> None:
         """Release the float32 weight view; packed codes stay authoritative.
 
-        The next quantized forward re-materialises it.  Between the drop and
-        that forward the wrapper holds only the packed bytes (plus the
-        original float32 array, until/unless ``restore()`` gives it back).
-
-        In restore-free deployment mode there is no original to fall back to;
-        the bound weight becomes a broadcast placeholder instead, so the
-        dropped cache is genuinely freed rather than staying reachable (and
-        silently resident) through ``inner.weight``.  Any rebuild can then
-        only come from the packed codes.
+        ``inner.weight`` becomes a read-only placeholder with the weight's
+        shape and 4 bytes of storage (``np.broadcast_to`` shares one zero), so
+        shape introspection keeps working while the dropped view is really
+        freed rather than staying reachable through the bound parameter.  The
+        next quantized forward re-materialises the view from the packed codes.
         """
         if self.weight_q is not None:
-            if self.deployed:
-                self.inner.weight.data = self._weight_placeholder()
-            elif self._weight_cache is not None and self._original_weight is not None:
-                self.inner.weight.data = self._original_weight
+            self.inner.weight.data = np.broadcast_to(
+                np.zeros(1, dtype=np.float32), self.weight_q.shape
+            )
         self._weight_cache = None
 
     def weight_resident_arrays(self) -> Sequence[np.ndarray]:
         """Arrays this wrapper keeps alive for its weight beyond ``inner.weight``.
 
         Used by :func:`repro.quantization.workflow.resident_report` to tally
-        actual resident bytes: the packed codes/scales, the dequant cache (if
-        materialised) and the pristine original (if not yet dropped).
+        actual resident bytes: the packed codes/scales/zero points and the
+        dequantized view (if materialised).
         """
         arrays = []
         if self.weight_q is not None:
@@ -483,8 +436,6 @@ class QuantizedModule(Module):
                 arrays.append(np.asarray(self.weight_q.zero_point))
         if self._weight_cache is not None:
             arrays.append(self._weight_cache)
-        if self._original_weight is not None:
-            arrays.append(self._original_weight)
         return arrays
 
     def weight_storage_nbytes(self) -> Optional[dict]:
@@ -555,7 +506,7 @@ class QuantizedModule(Module):
         if self._is_streaming():
             return None
         if self.has_weight and self.weight_q is not None:
-            return self._trace_emit_opaque(tracer, args, kwargs)
+            return tracer.record_opaque(self, args, kwargs)
         processed = self._trace_emit_qdq(tracer, args)
         inner = self.inner
         tracer.touch(inner)
@@ -584,29 +535,14 @@ class QuantizedModule(Module):
                 processed.append(value)
         return processed
 
-    def _trace_emit_opaque(self, tracer, args, kwargs):
-        """Record the whole wrapper call as one ``call_module`` node."""
-        for key, value in kwargs.items():
-            if isinstance(value, (Tensor, np.ndarray)):
-                return None
-        tracer.touch_tree(self)
-        slots = tuple(tracer.slot_of(arg) for arg in args)
-        wrapped = tuple(isinstance(arg, Tensor) for arg in args)
-        output = self.forward(*args, **kwargs)
-        tracer.record(
-            "call_module", slots, output, module=self, wrapped=wrapped, kwargs=dict(kwargs)
-        )
-        return output
-
     # ------------------------------------------------------------------
     # state-dict composition (packed checkpointing)
     # ------------------------------------------------------------------
     def state_dict_excluded_keys(self):
         # Once the weight is packed, the codes in the extra state are the
-        # storage of record and the bound float32 array is a derived view (a
-        # dequant cache, or a placeholder in deployment mode) — snapshotting
-        # it would copy a dense array that load_state_dict/set_extra_state
-        # immediately supersedes from the packed payload.
+        # storage of record and the bound float32 array is derived from them
+        # (the dequantized view, or the placeholder) — snapshotting it would
+        # copy a dense array that set_extra_state immediately supersedes.
         if self.weight_q is not None:
             return ("inner.weight",)
         return ()
@@ -616,7 +552,7 @@ class QuantizedModule(Module):
 
         Composed into ``Module.state_dict()`` under ``<name>._extra_state``
         and written verbatim into packed checkpoints: the operator config, the
-        conversion/deployment flags, the frozen calibration state of every
+        conversion flag and serving mode, the frozen calibration state of every
         quantizer and — crucially — the packed weight codes/scales, so a
         checkpoint round trip never materialises the float32 weight.
         """
@@ -624,7 +560,6 @@ class QuantizedModule(Module):
             "config": self.config.to_dict(),
             "inner_type": type(self.inner).__name__,
             "quantizing": self.quantizing,
-            "deployed": self.deployed,
             "serving_mode": self.serving_mode,
             "input_quantizers": [q.state_dict() for q in self.input_quantizers],
             "weight_quantizer": (
@@ -645,9 +580,11 @@ class QuantizedModule(Module):
     def set_extra_state(self, state: dict) -> None:
         """Rebuild quantizers, packed weight and lifecycle flags from :meth:`get_extra_state`.
 
-        The float32 weight view is *not* materialised here: in deployment mode
-        a placeholder is bound immediately, otherwise the dequant cache is
-        rebuilt lazily by the next forward.
+        The float32 weight view is *not* materialised here: the placeholder is
+        bound (releasing whatever float32 weight the wrapper held) and the next
+        forward rebuilds the view from the packed codes.  The ``"deployed"``
+        flag that older checkpoints carry is ignored: every loaded wrapper is
+        served the same way.
         """
         inner_type = state.get("inner_type")
         if inner_type is not None and inner_type != type(self.inner).__name__:
@@ -676,8 +613,7 @@ class QuantizedModule(Module):
         self.observing = False
         self.quantizing = bool(state.get("quantizing", False))
         self.set_serving_mode(state.get("serving_mode", "cached"))
-        if state.get("deployed", False):
-            self.drop_originals()
+        self.drop_weight_cache()
 
     def extra_repr(self) -> str:
         act = self.config.activation
@@ -687,8 +623,6 @@ class QuantizedModule(Module):
             parts.append(f"weight={w.fmt.value}/{w.granularity.value}")
         if self.quantizing and self.serving_mode != "cached":
             parts.append(f"serving={self.serving_mode}")
-        if self.deployed:
-            parts.append("deployed")
         return ", ".join(parts)
 
 
@@ -737,15 +671,8 @@ class QuantizedLinear(QuantizedModule):
         (x,) = args
         if not isinstance(x, (Tensor, np.ndarray)):
             return None
-        x_slot = tracer.slot_of(x)
-        mm_in = x
-        if (
-            isinstance(x, Tensor)
-            and self.input_quantizers
-            and self.input_quantizers[0].config.enabled
-        ):
-            mm_in = Tensor(self.input_quantizers[0].quantize(x.data))
-            x_slot = tracer.record("qdq", (x_slot,), mm_in, module=self, index=0)
+        (mm_in,) = self._trace_emit_qdq(tracer, args)
+        x_slot = tracer.slot_of(mm_in)
         if self._is_streaming():
             output = Tensor(self._stream_matmul(mm_in.data if isinstance(mm_in, Tensor) else mm_in))
             tracer.record("qlinear_stream_mm", (x_slot,), output, module=self)
@@ -798,7 +725,7 @@ class QuantizedEmbedding(QuantizedModule):
     def trace_emit(self, tracer, args, kwargs):
         """One opaque node in either serving mode: replay calls the wrapper,
         whose ``forward`` runs the cached lookup or the gather-decode."""
-        return self._trace_emit_opaque(tracer, args, kwargs)
+        return tracer.record_opaque(self, args, kwargs)
 
     def _forward_streaming(self, indices, **kwargs):
         """Gather-decode: pull only the looked-up rows out of packed storage.

@@ -24,7 +24,7 @@ from repro.data.synthetic import ArrayDataset, DataLoader
 from repro.fp8.quantize import is_memory_mapped
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
-from repro.quantization.bn_calibration import calibrate_batchnorm
+from repro.quantization.bn_calibration import bn_calibration_pool, calibrate_batchnorm
 from repro.quantization.qconfig import Approach, QuantizationRecipe
 from repro.quantization.qmodules import QUANTIZED_MODULE_MAP, QuantizedModule, wrap_module
 from repro.quantization.smoothquant import apply_smoothquant
@@ -36,7 +36,6 @@ __all__ = [
     "calibrate_model",
     "convert_model",
     "quantize_model",
-    "deploy_model",
     "set_serving_mode",
     "storage_report",
     "resident_report",
@@ -243,24 +242,6 @@ def storage_report(model: Module) -> List[dict]:
     return rows
 
 
-def deploy_model(model: Module, serving_mode: Optional[str] = None) -> int:
-    """Switch every converted wrapper into restore-free deployment mode.
-
-    Drops the pristine float32 originals and the dequant caches so resident
-    weight bytes approach the packed footprint; ``restore()`` raises from now
-    on.  Optionally sets the serving mode in the same pass.  Returns the
-    number of wrappers deployed.
-    """
-    count = 0
-    for _, module in model.named_modules():
-        if isinstance(module, QuantizedModule):
-            if serving_mode is not None:
-                module.set_serving_mode(serving_mode)
-            module.drop_originals()
-            count += 1
-    return count
-
-
 def set_serving_mode(
     model: Module,
     mode: str,
@@ -318,10 +299,10 @@ def resident_report(model: Union[Module, Sequence[Module]]) -> dict:
 
     Unlike :func:`storage_report` (packed bytes *at rest*), this counts what
     is really held in memory right now: parameter/buffer storage (views share
-    their base, so a deployment placeholder costs its 4 real bytes, not its
-    dense shape), packed codes/scales, materialised dequant caches and any
-    retained float32 originals.  ``fp32_bytes`` is what the same model costs
-    with every parameter dense float32 — the serving benchmark's baseline.
+    their base, so a weight placeholder costs its 4 real bytes, not its
+    dense shape), packed codes/scales and materialised dequantized views.
+    ``fp32_bytes`` is what the same model costs with every parameter dense
+    float32 — the serving benchmark's baseline.
 
     mmap-loaded storage is counted separately: arrays backed by an
     ``np.memmap`` view of the checkpoint file (``load_quantized(...,
@@ -380,7 +361,6 @@ def quantize_model(
     calibration_batch_size: int = 32,
     bn_calibration_data: CalibrationData = None,
     inplace: bool = False,
-    deploy: bool = False,
     serving_mode: Optional[str] = None,
 ) -> QuantizationResult:
     """Quantize a trained FP32 model following the paper's workflow (Figure 2).
@@ -400,15 +380,23 @@ def quantize_model(
     is_convolutional:
         Enables the convolution-network first/last-operator exception.
     bn_calibration_data:
-        Data used for BatchNorm re-calibration when the recipe requests it
-        (falls back to ``calibration_data``).
-    deploy:
-        Enter restore-free deployment mode after conversion (see
-        :func:`deploy_model`): originals and caches dropped, resident weight
-        bytes ≈ the packed footprint, ``restore()`` raises.
+        Raw samples for BatchNorm re-calibration when the recipe requests it
+        (falls back to ``calibration_data``).  Checked before any calibration
+        starts: prepared batches raise ``TypeError`` (see
+        :func:`~repro.quantization.bn_calibration.bn_calibration_pool`).
     serving_mode:
         Optionally set ``"cached"`` / ``"streaming"`` on every wrapper.
+
+    The converted wrappers keep no float32 copy of their weights: a cached
+    model holds the packed codes plus one dequantized view (≈ 1.25× its fp32
+    weight bytes), a streaming model the packed codes alone (≈ 0.25×).
     """
+    bn_pool = None
+    bn_data = bn_calibration_data if bn_calibration_data is not None else calibration_data
+    if recipe.batchnorm_calibration and bn_data is not None:
+        # reject unusable BN data before any calibration work is done
+        bn_pool = bn_calibration_pool(bn_data)
+
     target = model if inplace else clone_module(model)
     target.eval()
 
@@ -456,24 +444,18 @@ def quantize_model(
         result.weight_bytes_packed += row["packed_bytes"]
         result.weight_bytes_fp32 += row["fp32_bytes"]
 
-    if recipe.batchnorm_calibration:
-        data = bn_calibration_data if bn_calibration_data is not None else calibration_data
-        if data is not None:
-            calibrate_batchnorm(
-                target,
-                data,
-                prepare_inputs=prepare_inputs,
-                num_samples=recipe.bn_calibration_samples,
-                transform=recipe.bn_calibration_transform,
-                batch_size=calibration_batch_size,
-            )
-            result.batchnorm_calibrated = True
+    if bn_pool is not None:
+        calibrate_batchnorm(
+            target,
+            bn_pool,
+            prepare_inputs=prepare_inputs,
+            num_samples=recipe.bn_calibration_samples,
+            transform=recipe.bn_calibration_transform,
+            batch_size=calibration_batch_size,
+        )
+        result.batchnorm_calibrated = True
 
-    # Deployment last: BN calibration runs forwards that would re-materialise
-    # the caches deploy just dropped.
     if serving_mode is not None:
         set_serving_mode(target, serving_mode)
-    if deploy:
-        deploy_model(target)
 
     return result

@@ -7,9 +7,9 @@ disk and back **without ever materialising float32 weights** —
 >>> save_quantized(result.model, "model.rpq", recipe=result.recipe)  # doctest: +SKIP
 >>> served = load_quantized("model.rpq", model_factory=build_model)  # doctest: +SKIP
 
-``load_quantized`` returns the model in restore-free deployment mode; pair it
-with ``serving_mode="streaming"`` for decode-on-the-fly forwards whose
-resident weight bytes stay at the packed footprint.  See
+``load_quantized`` returns the model with its packed codes as the only weight
+storage; pair it with ``serving_mode="streaming"`` for decode-on-the-fly
+forwards whose resident weight bytes stay at the packed footprint.  See
 :mod:`repro.serialization.container` for the on-disk layout and
 :mod:`repro.serialization.checkpoint` for the model-level semantics.
 """

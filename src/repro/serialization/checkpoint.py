@@ -14,12 +14,11 @@ holding:
 
 ``load_quantized`` inverts it against a fresh float model from
 ``model_factory``: it wraps exactly the modules recorded in the checkpoint,
-restores packed storage and calibration without ever dequantizing, and
-returns the model in restore-free deployment mode — the factory's float
-weights for quantized operators are released and replaced by 4-byte broadcast
-placeholders, so resident weight bytes approach the packed footprint.
-``restore()`` raises on such a model; the packed codes are the storage of
-record.
+restores packed storage and calibration without ever dequantizing — the
+factory's float weights for quantized operators are released and replaced by
+4-byte broadcast placeholders, so resident weight bytes approach the packed
+footprint until a cached-mode forward materialises the dequantized views.
+The packed codes are the storage of record.
 """
 
 from __future__ import annotations
@@ -158,8 +157,9 @@ def load_quantized(
     saved from (a fresh float model; its weight values for quantized operators
     are irrelevant and are released).  Quantized wrappers are recreated from
     the checkpoint's per-module configs, packed storage and calibration state
-    are restored bit-identically, and the model comes back in restore-free
-    deployment mode with ``serving_mode`` applied (default: as saved).
+    are restored bit-identically (each wrapper binds its weight placeholder
+    as it loads), and the model comes back with ``serving_mode`` applied
+    (default: as saved).
 
     With ``mmap=True`` the packed payload is never copied: the wrappers'
     ``weight_q`` codes/scales become read-only zero-copy views into the
@@ -215,11 +215,6 @@ def load_quantized(
         model.set_submodule(name, wrap_module(_type_name_for(module), module, config, name=name))
 
     model.load_state_dict(state, strict=strict)
-
-    # A loaded model has no float32 originals to restore to: enforce the
-    # restore-free contract and release the factory's random weights.
-    for wrapper in _quantized_wrappers(model).values():
-        wrapper.drop_originals()
     if serving_mode is not None:
         set_serving_mode(model, serving_mode)
     return model

@@ -170,7 +170,8 @@ class ServingEngine:
     ----------
     model:
         The served model, or a sequence of model replicas (one per worker;
-        typically converted + deployed — any callable ``Module`` works).
+        typically converted or loaded with ``load_quantized`` — any callable
+        ``Module`` works).
         Every forward runs under the thread-local ``no_grad``.
     max_batch_size:
         Upper bound on requests fused into one forward call.

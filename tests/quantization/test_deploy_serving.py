@@ -1,4 +1,4 @@
-"""Deploy (restore-free) mode, serving modes and the cache-drop bugfix."""
+"""The converted weight lifecycle, resident bytes and the serving modes."""
 
 import threading
 
@@ -11,7 +11,6 @@ from repro.fp8.quantize import QuantizedTensor
 from repro.quantization import (
     Approach,
     QuantizedModule,
-    deploy_model,
     int8_recipe,
     quantize_model,
     resident_report,
@@ -42,42 +41,30 @@ def _quantized(recipe=None, model=None):
     return quantize_model(model or _mlp(), recipe)
 
 
-class TestDeployMode:
-    def test_drop_originals_frees_and_restore_raises(self):
+class TestWeightLifecycle:
+    def test_convert_keeps_no_float32_original(self):
+        wrapper = _wrappers(_quantized().model)[0]
+        view = wrapper.quantized_weight()
+        assert wrapper.inner.weight.data is view
+        assert not view.flags.writeable
+        dense = [
+            array
+            for array in wrapper.weight_resident_arrays()
+            if array.dtype == np.float32 and array.shape == view.shape
+        ]
+        assert len(dense) == 1 and dense[0] is view
+
+    def test_forward_after_drop_weight_cache_is_bit_identical(self):
         result = _quantized()
-        wrapper = _wrappers(result.model)[0]
-        assert wrapper._original_weight is not None
-        deploy_model(result.model)
-        assert wrapper.deployed
-        assert wrapper._original_weight is None
-        with pytest.raises(RuntimeError, match="restore-free"):
-            wrapper.restore()
+        expected = result.model(_probe()).data
+        for wrapper in _wrappers(result.model):
+            wrapper.drop_weight_cache()
+        assert np.array_equal(result.model(_probe()).data, expected)
 
-    def test_quantize_model_deploy_flag(self):
-        result = quantize_model(
-            _mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-        )
-        assert all(w.deployed for w in _wrappers(result.model))
-        assert resident_report(result.model)["ratio"] <= 0.35
-
-    def test_deployed_forward_still_works(self):
-        baseline = _quantized()
-        expected = baseline.model(_probe()).data
-        deployed = quantize_model(
-            _mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-        )
-        assert np.array_equal(deployed.model(_probe()).data, expected)
-
-    def test_drop_weight_cache_respects_restore_free_mode(self):
-        """The PR-3 bugfix: after deployment the dropped cache must actually be freed.
-
-        Before the fix ``drop_weight_cache()`` only rebound ``inner.weight``
-        when an original was still held, so in restore-free mode the cache
-        stayed reachable (and resident) through the bound parameter.
-        """
-        result = quantize_model(
-            _mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-        )
+    def test_drop_weight_cache_binds_placeholder(self):
+        """A dropped view must really be freed, not stay reachable through
+        the bound parameter."""
+        result = quantize_model(_mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
         wrapper = _wrappers(result.model)[0]
         # forward re-materialises the cache in cached serving mode
         result.model(_probe())
@@ -93,14 +80,42 @@ class TestDeployMode:
         assert not bound.flags.writeable
         assert bound.base is not None and bound.base.nbytes == 4
 
-    def test_deployed_at_rest_resident_ratio(self):
-        result = quantize_model(_mlp(), int8_recipe(approach=Approach.DYNAMIC), deploy=True)
-        report = resident_report(result.model)
-        assert report["ratio"] <= 0.35
-        # a cached forward materialises caches; dropping them gets back down
+    def test_cached_model_back_to_packed_after_drop_weight_cache(self):
+        result = quantize_model(_mlp(), int8_recipe(approach=Approach.DYNAMIC))
+        # a cached forward keeps the views; dropping them gets back down
         result.model(_probe())
         for wrapper in _wrappers(result.model):
             wrapper.drop_weight_cache()
+        assert resident_report(result.model)["ratio"] <= 0.35
+
+
+def _tiny_cnn(seed=0):
+    rng = np.random.default_rng(seed)
+    return nn.Sequential(
+        nn.Conv2d(3, 16, 3, padding=1, rng=rng),
+        nn.BatchNorm2d(16),
+        nn.ReLU(),
+        nn.Conv2d(16, 16, 3, padding=1, rng=rng),
+        nn.ReLU(),
+        nn.AdaptiveAvgPool2d(1),
+        nn.Flatten(),
+        nn.Linear(16, 10, rng=rng),
+    )
+
+
+class TestQuantizeModelResidentBytes:
+    """``quantize_model`` output holds packed codes plus at most one view."""
+
+    @pytest.mark.parametrize("build", [_mlp, _tiny_cnn], ids=["mlp", "cnn"])
+    def test_cached_mode_within_1_3x_fp32(self, build):
+        result = quantize_model(build(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
+        assert resident_report(result.model)["ratio"] <= 1.3
+
+    @pytest.mark.parametrize("build", [_mlp, _tiny_cnn], ids=["mlp", "cnn"])
+    def test_streaming_mode_within_0_35x_fp32(self, build):
+        result = quantize_model(
+            build(), standard_recipe("E4M3", approach=Approach.DYNAMIC), serving_mode="streaming"
+        )
         assert resident_report(result.model)["ratio"] <= 0.35
 
 
@@ -144,7 +159,6 @@ class TestServingModes:
         result = quantize_model(
             _mlp(),
             standard_recipe("E4M3", approach=Approach.DYNAMIC),
-            deploy=True,
             serving_mode="streaming",
         )
         result.model(_probe())
@@ -219,10 +233,8 @@ class TestExtraStateRoundTrip:
         model = _mlp()
         assert all(not key.endswith("._extra_state") for key in model.state_dict())
 
-    def test_deployed_state_dict_excludes_dense_weight(self):
-        result = quantize_model(
-            _mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-        )
+    def test_converted_state_dict_excludes_dense_weight(self):
+        result = quantize_model(_mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
         state = result.model.state_dict()
         assert "0.inner.weight" not in state
         assert "0.inner.bias" in state

@@ -106,47 +106,20 @@ class TestQuantizedWrappers:
             np.min(np.abs(scaled[..., None] - grid[None, None]), axis=-1), 0, atol=1e-3
         )
 
-    def test_restore_undoes_weight_quantization(self):
+    def test_convert_twice_keeps_codes_and_view(self):
         linear = nn.Linear(8, 4, rng=np.random.default_rng(0))
-        original = linear.weight.data.copy()
         wrapped = wrap_module("Linear", linear, _op_config())
         wrapped.start_observing()
         wrapped(Tensor(np.ones((2, 8), dtype=np.float32)))
         wrapped.convert()
-        wrapped(Tensor(np.ones((2, 8), dtype=np.float32)))  # binds the quantized view
-        wrapped.restore()
-        assert np.array_equal(linear.weight.data, original)
-        assert wrapped.weight_q is None
-
-    def test_convert_twice_keeps_original_weight(self):
-        # Regression: a second convert() used to snapshot the already-quantized
-        # weight as "_original_weight", turning restore() into a no-op.
-        linear = nn.Linear(8, 4, rng=np.random.default_rng(0))
-        original = linear.weight.data.copy()
-        wrapped = wrap_module("Linear", linear, _op_config())
-        wrapped.start_observing()
-        wrapped(Tensor(np.ones((2, 8), dtype=np.float32)))
-        wrapped.convert()
-        wrapped(Tensor(np.ones((2, 8), dtype=np.float32)))
+        codes, view = wrapped.weight_q.codes, wrapped.quantized_weight()
         wrapped.convert()  # idempotent no-op
-        wrapped.restore()
-        assert np.array_equal(linear.weight.data, original)
-
-    def test_convert_after_restore_requantizes(self):
-        linear = nn.Linear(8, 4, rng=np.random.default_rng(0))
-        wrapped = wrap_module("Linear", linear, _op_config())
-        wrapped.start_observing()
-        wrapped(Tensor(np.ones((2, 8), dtype=np.float32)))
-        wrapped.convert()
-        first = wrapped.quantized_weight().copy()
-        wrapped.restore()
-        wrapped.convert()
-        assert wrapped.quantizing and wrapped.weight_q is not None
-        assert np.array_equal(wrapped.quantized_weight(), first)
+        assert wrapped.weight_q.codes is codes
+        assert linear.weight.data is view
+        assert wrapped.quantized_weight() is view
 
     def test_drop_weight_cache_rematerializes(self):
         linear = nn.Linear(8, 4, rng=np.random.default_rng(0))
-        original = linear.weight.data.copy()
         wrapped = wrap_module("Linear", linear, _op_config())
         wrapped.start_observing()
         x = Tensor(np.ones((2, 8), dtype=np.float32))
@@ -154,27 +127,32 @@ class TestQuantizedWrappers:
         wrapped.convert()
         out_before = wrapped(x).data
         wrapped.drop_weight_cache()
-        # with the cache dropped, the original float values are bound again ...
-        assert np.array_equal(linear.weight.data, original)
+        # with the view dropped, a read-only 4-byte placeholder is bound ...
+        bound = linear.weight.data
+        assert bound.shape == wrapped.weight_q.shape
+        assert not bound.flags.writeable
+        assert bound.base is not None and bound.base.nbytes == 4
         # ... and the next quantized forward re-materialises the same view
         out_after = wrapped(x).data
         assert np.array_equal(out_before, out_after)
 
-    def test_load_state_dict_after_convert_does_not_corrupt_original(self):
-        # Regression for the by-reference snapshot: writing into the bound
-        # weight (load_state_dict does an in-place copy) must not leak into
-        # the original that restore() returns.
-        model = nn.Sequential(nn.Linear(8, 4, rng=np.random.default_rng(0)))
-        model.eval()
-        original = model.get_submodule("0").weight.data.copy()
-        result = quantize_model(
-            model, standard_recipe("E4M3", approach=Approach.DYNAMIC), inplace=True
-        )
-        state = {name: np.zeros_like(p.data) for name, p in model.named_parameters()}
-        model.load_state_dict(state, strict=False)
-        wrapper = result.model.get_submodule("0")
-        wrapper.restore()
-        assert np.array_equal(wrapper.inner.weight.data, original)
+    def test_load_state_dict_cannot_overwrite_derived_weight(self, tmp_path):
+        # The bound weight is dequantized from the packed codes; a write into
+        # it would change what the wrapper serves but not what it saves.
+        from repro.serialization import load_quantized, save_quantized
+
+        def build():
+            return nn.Sequential(nn.Linear(8, 4, rng=np.random.default_rng(0))).eval()
+
+        result = quantize_model(build(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
+        x = Tensor(np.random.default_rng(1).standard_normal((3, 8)).astype(np.float32))
+        expected = result.model(x).data
+        with pytest.raises(RuntimeError, match="derived from packed 8-bit codes"):
+            result.model.load_state_dict({"0.inner.weight": np.zeros((4, 8))}, strict=False)
+        assert np.array_equal(result.model(x).data, expected)
+        path = str(tmp_path / "model.rpq")
+        save_quantized(result.model, path)
+        assert np.array_equal(load_quantized(path, build)(x).data, expected)
 
     def test_state_dict_carries_packed_weight_right_after_convert(self):
         model = nn.Sequential(nn.Linear(8, 4, rng=np.random.default_rng(0)))

@@ -165,6 +165,24 @@ class TestBatchNormCalibration:
         np.testing.assert_array_equal(bn_a.running_mean, bn_b.running_mean)
         np.testing.assert_array_equal(bn_a.running_var, bn_b.running_var)
 
+    def test_prepared_batches_rejected_before_calibration(self, monkeypatch):
+        # BN calibration augments raw image arrays, so prepared batches
+        # (Tensors) are refused before any calibration work is done
+        from repro.autograd import Tensor
+        from repro.quantization import workflow
+
+        def _no_calibration(*args, **kwargs):
+            raise AssertionError("calibration started before the BN data was checked")
+
+        monkeypatch.setattr(workflow, "calibrate_model", _no_calibration)
+        x = make_classification_images(n_samples=64, rng=0).inputs
+        batches = [Tensor(x[:32]), Tensor(x[32:])]
+        recipe = standard_recipe("E4M3", batchnorm_calibration=True)
+        with pytest.raises(TypeError, match="ArrayDataset, one ndarray of samples, or a sequence"):
+            quantize_model(self._cnn(), recipe, calibration_data=batches)
+        with pytest.raises(TypeError, match="got list of \\['Tensor'\\]"):
+            calibrate_batchnorm(self._cnn(), batches, num_samples=32)
+
     def test_recipe_level_bn_calibration(self, cnn_bundle):
         recipe = extended_recipe("E3M4", batchnorm_calibration=True)
         recipe.bn_calibration_samples = 256

@@ -131,7 +131,7 @@ class TestModelCheckpointRoundTrip:
             assert np.array_equal(np.asarray(qt.scale), np.asarray(loaded_packed[name].scale)), name
         assert np.array_equal(loaded(probe).data, expected)
 
-    def test_loaded_model_is_restore_free_and_packed_resident(self, tmp_path):
+    def test_loaded_model_is_packed_resident(self, tmp_path):
         result = quantize_model(_build_model(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
         path = str(tmp_path / "model.rpq")
         save_quantized(result.model, path)
@@ -139,9 +139,31 @@ class TestModelCheckpointRoundTrip:
         assert resident_report(loaded)["ratio"] <= 0.35
         for _, module in loaded.named_modules():
             if isinstance(module, QuantizedModule):
-                assert module.deployed
-                with pytest.raises(RuntimeError, match="restore"):
-                    module.restore()
+                bound = module.inner.weight.data
+                assert not bound.flags.writeable
+                assert bound.base is not None and bound.base.nbytes == 4
+
+    @pytest.mark.parametrize("deployed", [True, False])
+    def test_wrapper_state_with_deployed_flag_still_loads(self, tmp_path, monkeypatch, deployed):
+        # Checkpoints written before the flag was dropped carry a "deployed"
+        # key in every wrapper's state; they load and serve the same outputs.
+        recipe = standard_recipe("E4M3", approach=Approach.DYNAMIC)
+        result = quantize_model(_build_model(), recipe)
+        probe = _probe()
+        expected = result.model(probe).data
+        plain = QuantizedModule.get_extra_state
+        monkeypatch.setattr(
+            QuantizedModule, "get_extra_state", lambda self: {**plain(self), "deployed": deployed}
+        )
+        path = str(tmp_path / "legacy.rpq")
+        save_quantized(result.model, path)
+        legacy_state = result.model.state_dict()
+        monkeypatch.undo()
+        assert legacy_state["0._extra_state"]["deployed"] is deployed
+        assert np.array_equal(load_quantized(path, _build_model)(probe).data, expected)
+        target = quantize_model(_build_model(seed=5), recipe).model
+        target.load_state_dict(legacy_state)
+        assert np.array_equal(target(probe).data, expected)
 
     def test_load_with_streaming_mode(self, tmp_path):
         result = quantize_model(_build_model(), standard_recipe("E4M3", approach=Approach.DYNAMIC))

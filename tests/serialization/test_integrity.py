@@ -81,9 +81,7 @@ def _mlp(seed=0):
 
 
 def _quantized_checkpoint(tmp_path, name="model.rpq"):
-    result = quantize_model(
-        _mlp().eval(), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-    )
+    result = quantize_model(_mlp().eval(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
     path = str(tmp_path / name)
     save_quantized(result.model, path, recipe=result.recipe)
     return path

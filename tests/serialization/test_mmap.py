@@ -151,9 +151,7 @@ class TestLoadQuantizedMmap:
         assert np.array_equal(copied(probe).data, expected)
 
     def test_mmap_load_keeps_codes_mapped_and_resident_low(self, tmp_path):
-        result = quantize_model(
-            _mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-        )
+        result = quantize_model(_mlp(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
         path = str(tmp_path / "m.rpq")
         save_quantized(result.model, path)
         mapped = load_quantized(path, _mlp, mmap=True)
@@ -217,9 +215,7 @@ class TestLoadQuantizedMmap:
 
 class TestSharedViews:
     def _save(self, tmp_path, seed=0):
-        result = quantize_model(
-            _mlp(seed=seed), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-        )
+        result = quantize_model(_mlp(seed=seed), standard_recipe("E4M3", approach=Approach.DYNAMIC))
         path = str(tmp_path / "shared.rpq")
         save_quantized(result.model, path, recipe=result.recipe)
         return path
@@ -272,7 +268,7 @@ class TestSharedViews:
             base_before = _root_base(_wrappers(before)[0].weight_q.codes)
             _time.sleep(0.01)  # ensure a distinct mtime for the rewrite
             result = quantize_model(
-                _mlp(seed=9), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
+                _mlp(seed=9), standard_recipe("E4M3", approach=Approach.DYNAMIC)
             )
             save_quantized(result.model, path, recipe=result.recipe)
             after = load_quantized(path, _mlp, mmap=True)
@@ -312,7 +308,6 @@ class TestSharedViews:
             result = quantize_model(
                 _mlp(seed=3),
                 standard_recipe("E4M3", approach=Approach.DYNAMIC),
-                deploy=True,
             )
             path_b = str(tmp_path / "rotated.rpq")
             save_quantized(result.model, path_b, recipe=result.recipe)

@@ -66,7 +66,6 @@ class TestBatching:
         result = quantize_model(
             _mlp(),
             standard_recipe("E4M3", approach=Approach.DYNAMIC),
-            deploy=True,
             serving_mode="streaming",
         )
         samples = _samples(4)
@@ -283,7 +282,6 @@ def _streaming_quantized(seed=0):
     result = quantize_model(
         _mlp(seed=seed),
         standard_recipe("E4M3", approach=Approach.DYNAMIC),
-        deploy=True,
         serving_mode="streaming",
     )
     return result.model
@@ -450,9 +448,7 @@ class TestMultiWorker:
     def test_from_checkpoint_defaults_to_pipelined_streaming(self, tmp_path):
         from repro.serialization import save_quantized
 
-        result = quantize_model(
-            _mlp(seed=7), standard_recipe("E4M3", approach=Approach.DYNAMIC), deploy=True
-        )
+        result = quantize_model(_mlp(seed=7), standard_recipe("E4M3", approach=Approach.DYNAMIC))
         path = str(tmp_path / "mlp.rpq")
         save_quantized(result.model, path)
         samples = _samples(32, seed=23)

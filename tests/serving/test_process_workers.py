@@ -98,7 +98,6 @@ def checkpoint(tmp_path_factory):
     result = quantize_model(
         build_mlp(),
         standard_recipe("E4M3", approach=Approach.DYNAMIC),
-        deploy=True,
         serving_mode="cached",
     )
     path = tmp_path_factory.mktemp("proc-ckpt") / "model.rpq"

@@ -8,8 +8,10 @@ via ``repro.serialization.load_quantized`` and asserts:
 
 * packed codes, scales and zero points are bit-identical to the reference;
 * forward outputs on the probe batch are bit-identical;
-* the loaded model is restore-free and its at-rest resident bytes are
-  <= 0.35x of the dense float32 model;
+* every loaded wrapper's bound weight is read-only, and before the first
+  forward it holds only its packed codes, scales and zero points;
+* the loaded model's at-rest resident bytes are <= 0.35x of the dense
+  float32 model;
 * the streaming serving mode agrees with the cached outputs.
 
 Usage::
@@ -101,6 +103,18 @@ def phase_load(directory: str) -> None:
     reference = np.load(os.path.join(directory, REF_NAME))
 
     loaded = load_quantized(ckpt_path, build_model)
+    for name, module in loaded.named_modules():
+        if isinstance(module, QuantizedModule) and module.weight_q is not None:
+            assert not module.inner.weight.data.flags.writeable, (
+                f"{name}: the bound weight of a loaded wrapper must be read-only"
+            )
+            held = module.weight_resident_arrays()
+            wq = module.weight_q
+            parts = [wq.codes, wq.scale] + ([] if wq.zero_point is None else [wq.zero_point])
+            assert len(held) == len(parts) and all(map(np.array_equal, held, parts)), (
+                f"{name}: before the first forward a loaded wrapper must hold only "
+                "its packed codes, scales and zero points"
+            )
     resident = resident_report(loaded)
     assert resident["ratio"] <= RESIDENT_RATIO_GATE, (
         f"loaded at-rest resident bytes {resident['ratio']:.3f}x exceed the "
@@ -120,23 +134,15 @@ def phase_load(directory: str) -> None:
         "forward outputs diverge from the save-time model"
     )
 
-    for _, module in loaded.named_modules():
-        if isinstance(module, QuantizedModule):
-            try:
-                module.restore()
-            except RuntimeError:
-                pass
-            else:
-                raise AssertionError("restore() must raise on a loaded (restore-free) model")
-
     set_serving_mode(loaded, "streaming")
     streaming_outputs = loaded(Tensor(probe_batch())).data
     assert np.allclose(outputs, streaming_outputs, rtol=1e-5, atol=1e-6), (
         "streaming serving outputs diverge from cached outputs"
     )
     print(
-        "fresh-process load ok: codes/scales bit-identical, outputs bit-identical, "
-        f"resident {resident['ratio']:.3f}x <= {RESIDENT_RATIO_GATE}x, streaming agrees"
+        "fresh-process load ok: read-only weights, packed-only at rest, codes/scales "
+        f"bit-identical, outputs bit-identical, resident {resident['ratio']:.3f}x <= "
+        f"{RESIDENT_RATIO_GATE}x, streaming agrees"
     )
 
 
