@@ -13,8 +13,9 @@ primitives: each computes its array function once (:func:`linear_array`,
 :func:`layer_norm_array`, :func:`softmax_array`) and hands the result to
 :meth:`~repro.autograd.tensor.Tensor._make`, which records one tape entry
 with a fused backward when a gradient is needed and none otherwise.
-Compiled plans (:mod:`repro.graph.plan`) call the same array functions, so
-training, eager inference and plan replay run one forward, bit for bit.
+The nodes of traced graphs (:mod:`repro.graph.tracer`) call the same array
+functions, so training, eager inference and plan replay run one forward, bit
+for bit.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ _GELU_C = np.sqrt(2.0 / np.pi).astype(np.float32)
 
 
 # The activations' array math, one copy each: the Tensor methods and the
-# compiled plans' steps (repro.graph.plan) both call these.
+# nodes of traced graphs (repro.graph.tracer) both call these.
 def relu_array(x: np.ndarray) -> np.ndarray:
     """``max(x, 0)`` as ``x * (x > 0)``."""
     return x * (x > 0)

@@ -2,18 +2,16 @@
 
 Layers (see the per-module docstrings for the full contracts):
 
-* :mod:`repro.graph.ir` — the op-graph representation (nodes over SSA slots);
+* :mod:`repro.graph.ir` — the traced graph: nodes over SSA slots, each
+  carrying the function the eager op calls, and its replay;
 * :mod:`repro.graph.tracer` — trace-by-execution of a model forward;
-* :mod:`repro.graph.plan` — compilation into a flat executable plan whose
-  every step calls the function the eager op calls;
 * :mod:`repro.graph.cache` — the per-model plan cache wired into
-  ``Module.__call__``, with epoch-based invalidation and the eager-oracle
-  fallback.
+  ``Module.__call__``: it stores each verified graph as the key's plan, with
+  epoch-based invalidation and the eager-oracle fallback.
 """
 
 from repro.graph.cache import PlanCache, install_plan_cache, plan_cache_of, remove_plan_cache
 from repro.graph.ir import Graph, Node, TraceAborted
-from repro.graph.plan import Plan, compile_plan
 from repro.graph.tracer import Tracer, TraceResult, trace
 
 __all__ = [
@@ -23,8 +21,6 @@ __all__ = [
     "Tracer",
     "TraceResult",
     "trace",
-    "Plan",
-    "compile_plan",
     "PlanCache",
     "install_plan_cache",
     "remove_plan_cache",

@@ -4,10 +4,11 @@
 ``Module.__call__`` then offers every top-level forward to
 :meth:`PlanCache.dispatch`:
 
-* **cache hit** — the stored plan replays with zero module dispatch and the
-  (bit-identical) result is returned directly;
+* **cache hit** — the stored graph replays (:meth:`~repro.graph.ir.Graph.replay`)
+  with zero module dispatch and the (bit-identical) result is returned
+  directly;
 * **first sight** — the forward runs once under the tracer (so the call still
-  produces its real result), the graph is compiled, and the plan is stored
+  produces its real result), and the traced graph is stored as the key's plan
   after a verification replay reproduces the traced output exactly;
 * **eager** — keys whose trace aborted are pinned to a sentinel so later
   forwards skip straight to the eager path, which remains the bit-exactness
@@ -42,7 +43,6 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, is_grad_enabled, no_grad
 from repro.graph.ir import TraceAborted
-from repro.graph.plan import compile_plan
 from repro.graph.tracer import trace
 from repro.nn.module import (
     Module,
@@ -60,7 +60,7 @@ _EAGER = object()
 
 
 class PlanCache:
-    """Compiled plans for one model root, keyed by input signature."""
+    """Verified traced graphs (plans) for one model root, keyed by input signature."""
 
     def __init__(self, max_plans: int = 32) -> None:
         self.max_plans = int(max_plans)
@@ -68,7 +68,7 @@ class PlanCache:
         self._lock = threading.RLock()
         self._state_epoch = state_epoch()
         self._hook_epoch = hook_epoch()
-        # counters (reported via stats())
+        # counters (reported via stats()); "compiles" counts verified graphs stored
         self._hits = 0
         self._misses = 0
         self._compiles = 0
@@ -113,11 +113,11 @@ class PlanCache:
             if entry is not None:
                 self._hits += 1
         if entry is None:
-            return self._compile(model, key, args)
+            return self._trace(model, key, args)
         return True, entry.replay(args)
 
     # ------------------------------------------------------------------
-    def _compile(self, model: Module, key: Tuple, args: tuple):
+    def _trace(self, model: Module, key: Tuple, args: tuple):
         self._misses += 1
         with suspend_plan_dispatch():
             try:
@@ -127,15 +127,14 @@ class PlanCache:
                 self._trace_aborts += 1
                 self._store(key, _EAGER)
                 return False, None
-            plan = compile_plan(result.graph, output_wrapped=isinstance(result.output, Tensor))
             try:
-                replayed = plan.replay(args)
+                replayed = result.graph.replay(args)
                 verified = _outputs_match(result.output, replayed)
             except Exception:
                 verified = False
             if verified:
                 self._compiles += 1
-                self._store(key, plan)
+                self._store(key, result.graph)
             else:
                 self._verify_failures += 1
                 self._store(key, _EAGER)
@@ -145,7 +144,7 @@ class PlanCache:
     def _store(self, key: Tuple, entry) -> None:
         with self._lock:
             if state_epoch() != self._state_epoch or hook_epoch() != self._hook_epoch:
-                return  # the model mutated while we compiled; drop the stale plan
+                return  # the model mutated while we traced; drop the stale plan
             self._plans[key] = entry
             self._plans.move_to_end(key)
             while len(self._plans) > self.max_plans:
@@ -165,7 +164,7 @@ class PlanCache:
             for key in list(self._plans):
                 entry = self._plans[key]
                 # eager sentinels drop too: removing a hook can re-enable tracing
-                if entry is _EAGER or any(m._forward_hooks for m in entry.graph.modules):
+                if entry is _EAGER or any(m._forward_hooks for m in entry.modules):
                     del self._plans[key]
             self._hook_epoch = epoch
             self._hook_invalidations += 1

@@ -1,4 +1,4 @@
-"""Trace-by-execution: run a forward once and record it as an op graph.
+"""Trace-by-execution: run a forward once and record it as a graph of calls.
 
 The :class:`Tracer` installs itself as the thread's active tracer (see
 :mod:`repro.nn.module`) and runs the model on the *real* inputs.  Every
@@ -6,12 +6,15 @@ The :class:`Tracer` installs itself as the thread's active tracer (see
 
 * containers and composite modules are traced *through* — their forward runs
   normally and the children re-enter the tracer;
-* registered leaf operators execute with tracing suspended (so the modules
-  they call internally are not double-recorded) and record the node(s) that
-  reproduce their output;
+* leaf operators run with tracing suspended (so the modules they call
+  internally are not recorded twice) and record one node through
+  :meth:`Tracer.emit_leaf`: ``_STEPS`` maps each leaf type to the function
+  its node calls — the array function the eager op calls — and the
+  ``_OPAQUE`` leaves record a node that runs the module's own forward;
 * quantized wrappers provide their own ``trace_emit`` (see
-  :mod:`repro.quantization.qmodules`), emitting symbolic Q/DQ and
-  blocked-streaming-matmul nodes instead of being traced through.
+  :mod:`repro.quantization.qmodules`): a node per quantized input that calls
+  the input's quantizer, then the wrapped operator's node through
+  :meth:`Tracer.emit_leaf`, or a node calling the wrapper's own matmul.
 
 Values are tagged by the identity of their underlying ``ndarray`` —
 :class:`~repro.autograd.tensor.Tensor` carries ``__slots__`` so the array is
@@ -29,23 +32,18 @@ bit-for-bit as the eager result.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.functional import layer_norm_array, linear_array, softmax_array
+from repro.autograd.tensor import Tensor, gelu_parts, relu_array, sigmoid_array, silu_array
 from repro.graph.ir import Graph, Node, TraceAborted
 from repro.nn.activations import GELU, ReLU, Sigmoid, SiLU, Softmax, Tanh
 from repro.nn.attention import BatchMatMul, MultiHeadSelfAttention
 from repro.nn.elementwise import Add, Mul
 from repro.nn.layers import Conv2d, Dropout, Embedding, EmbeddingBag, Flatten, Identity, Linear
-from repro.nn.module import (
-    Module,
-    _set_active_tracer,
-    active_tracer,
-    register_trace_leaf,
-    trace_leaf_emitter,
-)
+from repro.nn.module import Module, _set_active_tracer, active_tracer
 from repro.nn.norm import GroupNorm, LayerNorm, _BatchNorm
 from repro.nn.pooling import AdaptiveAvgPool2d, AvgPool2d, MaxPool2d
 
@@ -56,14 +54,102 @@ def _as_data(value: Any) -> np.ndarray:
     return value.data if isinstance(value, Tensor) else np.asarray(value)
 
 
-class TraceResult:
+# ======================================================================
+# the step table: leaf type -> the function its node calls
+# ======================================================================
+def gelu_array(x: np.ndarray) -> np.ndarray:
+    """GELU's output, as :meth:`~repro.autograd.tensor.Tensor.gelu` computes it."""
+    return gelu_parts(x)[0]
+
+
+def _calls(fn: Optional[Callable]) -> Callable:
+    """The entry of a leaf whose node calls ``fn``; ``None`` records no node
+    (the leaf returns its input, which is already tagged)."""
+
+    def build(module: Module, output: Tensor) -> Optional[Callable]:
+        return fn
+
+    return build
+
+
+def _linear(module: Linear, output: Tensor) -> Callable:
+    weight, bias = module.weight, module.bias
+
+    def linear(x):
+        return linear_array(x, weight.data, None if bias is None else bias.data)
+
+    return linear
+
+
+def _softmax(module: Softmax, output: Tensor) -> Callable:
+    axis = module.axis
+
+    def softmax(x):
+        return softmax_array(x, axis)
+
+    return softmax
+
+
+def _layer_norm(module: LayerNorm, output: Tensor) -> Callable:
+    weight, bias, eps = module.weight, module.bias, module.eps
+
+    def layer_norm(x):
+        return layer_norm_array(x, weight.data, bias.data, eps)
+
+    return layer_norm
+
+
+def _flatten(module: Flatten, output: Tensor) -> Callable:
+    shape = output.shape  # the plan key fixes the input shape, so this one too
+
+    def reshape(x):
+        return x.reshape(shape)
+
+    return reshape
+
+
+#: leaf type -> ``build(module, traced output)``, which returns the function
+#: the leaf's node calls on its input arrays: the array function its eager
+#: forward calls.  The function holds the module's Parameters and reads their
+#: arrays at replay.  Exact types only: a subclass may compute something
+#: else, so it is an unlisted leaf.
+_STEPS: Dict[type, Callable] = {
+    Linear: _linear,
+    ReLU: _calls(relu_array),
+    Sigmoid: _calls(sigmoid_array),
+    Tanh: _calls(np.tanh),
+    GELU: _calls(gelu_array),
+    SiLU: _calls(silu_array),
+    Softmax: _softmax,
+    LayerNorm: _layer_norm,
+    Add: _calls(np.add),
+    Mul: _calls(np.multiply),
+    BatchMatMul: _calls(np.matmul),
+    Flatten: _flatten,
+    Identity: _calls(None),
+    Dropout: _calls(None),  # eval mode: F.dropout returns its input
+}
+
+#: leaves whose node runs the module's own forward (:meth:`Tracer.record_opaque`):
+#: pure functions of their inputs in eval mode, subclasses included
+_OPAQUE = (
+    Conv2d,
+    _BatchNorm,
+    Embedding,
+    EmbeddingBag,
+    GroupNorm,
+    MaxPool2d,
+    AvgPool2d,
+    AdaptiveAvgPool2d,
+    MultiHeadSelfAttention,
+)
+
+
+class TraceResult(NamedTuple):
     """A successful trace: the graph plus the real output of the traced call."""
 
-    __slots__ = ("graph", "output")
-
-    def __init__(self, graph: Graph, output: Any) -> None:
-        self.graph = graph
-        self.output = output
+    graph: Graph
+    output: Any
 
 
 class Tracer:
@@ -74,8 +160,7 @@ class Tracer:
         self._slots: Dict[int, int] = {}
         self._keepalive: List[np.ndarray] = []
         self._num_slots = 0
-        self._modules: List[Module] = []
-        self._module_ids: set = set()
+        self._modules: Dict[int, Module] = {}
 
     # ------------------------------------------------------------------
     # slot bookkeeping
@@ -103,38 +188,40 @@ class Tracer:
             )
         return slot
 
-    def record(self, kind: str, input_slots: Tuple[int, ...], output: Any, **params: Any) -> int:
-        """Append a node computing ``output`` from ``input_slots``; tags the output."""
+    def record(self, fn: Callable, input_slots: Tuple[int, ...], output: Any) -> int:
+        """Append a node computing ``output = fn(*input_slots)``; tags the output."""
         out_slot = self.tag(output)
-        self._nodes.append(Node(kind, tuple(input_slots), out_slot, params))
+        self._nodes.append(Node(fn, input_slots, out_slot))
         return out_slot
 
     def touch(self, module: Module) -> None:
         """Remember that the trace depends on ``module`` (hook invalidation)."""
-        if id(module) not in self._module_ids:
-            self._module_ids.add(id(module))
-            self._modules.append(module)
+        self._modules.setdefault(id(module), module)
 
     def touch_tree(self, module: Module) -> None:
         """Touch ``module`` and every descendant; abort if any carries hooks.
 
-        Used for opaque ``call_module`` leaves: replay re-runs the whole
-        subtree, so a hook registered anywhere under it must invalidate the
-        plan — and a subtree that already has hooks is served eagerly.
+        Used for leaves whose submodules replay without their own
+        ``Module.__call__`` (opaque leaves, quantized wrappers): a hook
+        registered anywhere under one must invalidate the plan, and a subtree
+        that already has hooks is served eagerly.
         """
         for _, sub in module.named_modules():
             if sub._forward_hooks:
                 raise TraceAborted(
-                    f"{type(sub).__name__} inside an opaque leaf carries forward hooks"
+                    f"{type(sub).__name__} inside {type(module).__name__} carries forward hooks"
                 )
             self.touch(sub)
 
     def record_opaque(self, module: Module, args: tuple, kwargs: dict):
-        """Run ``module`` on ``args`` and record the call as one ``call_module`` node.
+        """Run ``module`` on ``args`` and record one node that runs it again.
 
-        Replay calls the module again with the same argument wrapping, so the
-        whole subtree is touched (see :meth:`touch_tree`).  Array keyword
-        arguments would not be part of the plan key, so they abort the trace.
+        The node calls ``module.forward`` with the same argument wrapping and
+        keyword arguments, as the trace does: not ``module(...)``, which
+        would replay a plan cache installed on the module itself back into
+        this node.  Replay re-runs the whole subtree, so it is touched (see
+        :meth:`touch_tree`).  Array keyword arguments would not be part of the
+        plan key, so they abort the trace.
         """
         for key, value in kwargs.items():
             if isinstance(value, (Tensor, np.ndarray)):
@@ -142,10 +229,45 @@ class Tracer:
         self.touch_tree(module)
         slots = tuple(self.slot_of(arg) for arg in args)
         wrapped = tuple(isinstance(arg, Tensor) for arg in args)
+        kwargs = dict(kwargs)
+
+        def forward(*arrays):
+            result = module.forward(
+                *[Tensor(a) if w else a for a, w in zip(arrays, wrapped)], **kwargs
+            )
+            return result.data if isinstance(result, Tensor) else np.asarray(result)
+
+        # named by the module it runs, so a profile can tell the nodes apart
+        forward.__qualname__ = f"{type(module).__qualname__}.forward"
         output = module.forward(*args, **kwargs)
-        self.record(
-            "call_module", slots, output, module=module, wrapped=wrapped, kwargs=dict(kwargs)
-        )
+        self.record(forward, slots, output)
+        return output
+
+    def emit_leaf(self, module: Module, args: tuple, kwargs: dict):
+        """Run a leaf operator on ``args`` and record the node that replays it.
+
+        Called with tracing suspended.  Returns the real output; aborts for
+        a leaf in training mode, a leaf the tracer has no step for, and
+        keyword arguments to a ``_STEPS`` leaf (its node replays positional
+        arrays only, and the eager call decides what they mean).
+        """
+        if module.training:
+            raise TraceAborted(f"{type(module).__name__} is in training mode; served eagerly")
+        if isinstance(module, _OPAQUE):
+            return self.record_opaque(module, args, kwargs)
+        build = _STEPS.get(type(module))
+        if build is None:
+            raise TraceAborted(f"no trace step for leaf {type(module).__name__}")
+        if kwargs:
+            raise TraceAborted(
+                f"{type(module).__name__} called with keyword arguments {sorted(kwargs)}; "
+                "served eagerly"
+            )
+        slots = tuple(self.slot_of(arg) for arg in args)
+        output = module.forward(*args)
+        fn = build(module, output)
+        if fn is not None:
+            self.record(fn, slots, output)
         return output
 
     @contextmanager
@@ -178,24 +300,21 @@ class Tracer:
         if getattr(module, "calibrating", False):
             raise TraceAborted("BatchNorm is calibrating")
 
-        # quantized wrappers describe themselves (symbolic Q/DQ + matmul nodes)
+        # quantized wrappers describe themselves (Q/DQ + matmul nodes)
         emit = getattr(module, "trace_emit", None)
         if emit is not None and getattr(module, "quantizing", False):
+            self.touch_tree(module)
             with self.suspended():
                 output = emit(self, args, kwargs)
             if output is None:
                 raise TraceAborted(f"{type(module).__name__} declined to emit a trace")
             return True, output
 
-        emitter = trace_leaf_emitter(module)
-        if emitter is not None:
-            with self.suspended():
-                output = emitter(self, module, args, kwargs)
-            return True, output
-
-        if module._modules:
+        # the only leaves with submodules are opaque
+        if module._modules and not isinstance(module, _OPAQUE):
             return False, None  # composite: trace through the children
-        raise TraceAborted(f"no trace emitter registered for leaf {type(module).__name__}")
+        with self.suspended():
+            return True, self.emit_leaf(module, args, kwargs)
 
     # ------------------------------------------------------------------
     def build(self, input_slots: Tuple[int, ...], output: Any) -> Graph:
@@ -211,7 +330,8 @@ class Tracer:
             input_slots=input_slots,
             output_slot=out_slot,
             num_slots=self._num_slots,
-            modules=self._modules,
+            modules=list(self._modules.values()),
+            output_wrapped=isinstance(output, Tensor),
         )
 
 
@@ -244,132 +364,3 @@ def trace(model: Module, args: tuple, kwargs: Optional[dict] = None) -> TraceRes
         _set_active_tracer(None)
     graph = tracer.build(tuple(input_slots), output)
     return TraceResult(graph, output)
-
-
-# ======================================================================
-# leaf emitters for the plain (float) operator library
-# ======================================================================
-@register_trace_leaf(Linear)
-def _emit_linear(tracer: Tracer, module: Linear, args: tuple, kwargs: dict):
-    (x,) = args
-    x_slot = tracer.slot_of(x)
-    output = module.forward(x, **kwargs)
-    tracer.record("linear", (x_slot,), output, module=module)
-    return output
-
-
-def _register_elementwise(cls, op: str):
-    @register_trace_leaf(cls)
-    def _emit(tracer: Tracer, module: Module, args: tuple, kwargs: dict):
-        (x,) = args
-        x_slot = tracer.slot_of(x)
-        output = module.forward(x)
-        tracer.record("ew", (x_slot,), output, op=op)
-        return output
-
-    return _emit
-
-
-_register_elementwise(ReLU, "relu")
-_register_elementwise(Sigmoid, "sigmoid")
-_register_elementwise(Tanh, "tanh")
-_register_elementwise(GELU, "gelu")
-_register_elementwise(SiLU, "silu")
-
-
-@register_trace_leaf(Softmax)
-def _emit_softmax(tracer: Tracer, module: Softmax, args: tuple, kwargs: dict):
-    (x,) = args
-    x_slot = tracer.slot_of(x)
-    output = module.forward(x)
-    tracer.record("softmax", (x_slot,), output, axis=module.axis)
-    return output
-
-
-def _register_binary(cls, op: str):
-    @register_trace_leaf(cls)
-    def _emit(tracer: Tracer, module: Module, args: tuple, kwargs: dict):
-        a, b = args
-        slots = (tracer.slot_of(a), tracer.slot_of(b))
-        output = module.forward(a, b)
-        tracer.record("ew2", slots, output, op=op)
-        return output
-
-    return _emit
-
-
-_register_binary(Add, "add")
-_register_binary(Mul, "mul")
-
-
-@register_trace_leaf(BatchMatMul)
-def _emit_batch_matmul(tracer: Tracer, module: BatchMatMul, args: tuple, kwargs: dict):
-    a, b = args
-    slots = (tracer.slot_of(a), tracer.slot_of(b))
-    output = module.forward(a, b)
-    tracer.record("matmul2", slots, output)
-    return output
-
-
-@register_trace_leaf(Flatten)
-def _emit_flatten(tracer: Tracer, module: Flatten, args: tuple, kwargs: dict):
-    (x,) = args
-    x_slot = tracer.slot_of(x)
-    output = module.forward(x)
-    tracer.record("reshape", (x_slot,), output, shape=output.shape)
-    return output
-
-
-@register_trace_leaf(Identity)
-def _emit_identity(tracer: Tracer, module: Identity, args: tuple, kwargs: dict):
-    # forward returns its input unchanged; the array is already tagged
-    (x,) = args
-    tracer.slot_of(x)
-    return module.forward(x)
-
-
-@register_trace_leaf(Dropout)
-def _emit_dropout(tracer: Tracer, module: Dropout, args: tuple, kwargs: dict):
-    (x,) = args
-    tracer.slot_of(x)
-    if module.training and module.p > 0.0:
-        raise TraceAborted("dropout in training mode is stochastic; served eagerly")
-    # eval-mode dropout is the identity and returns its input object
-    return module.forward(x)
-
-
-@register_trace_leaf(LayerNorm)
-def _emit_layer_norm(tracer: Tracer, module: LayerNorm, args: tuple, kwargs: dict):
-    (x,) = args
-    x_slot = tracer.slot_of(x)
-    output = module.forward(x)
-    tracer.record("layer_norm", (x_slot,), output, module=module)
-    return output
-
-
-def _register_opaque(cls):
-    """Record the whole module call as one ``call_module`` node.
-
-    Safe only for modules that are pure functions of their inputs in eval
-    mode.  A leaf in training mode (a BatchNorm updating its running stats,
-    say) aborts the trace.
-    """
-
-    @register_trace_leaf(cls)
-    def _emit(tracer: Tracer, module: Module, args: tuple, kwargs: dict):
-        if module.training:
-            raise TraceAborted(f"{type(module).__name__} is in training mode; served eagerly")
-        return tracer.record_opaque(module, args, kwargs)
-
-    return _emit
-
-
-_register_opaque(Conv2d)
-_register_opaque(_BatchNorm)
-_register_opaque(Embedding)
-_register_opaque(EmbeddingBag)
-_register_opaque(GroupNorm)
-_register_opaque(MaxPool2d)
-_register_opaque(AvgPool2d)
-_register_opaque(AdaptiveAvgPool2d)
-_register_opaque(MultiHeadSelfAttention)

@@ -13,19 +13,17 @@ The quantization framework relies on four capabilities of :class:`Module`:
 
 Tracing instrumentation
 -----------------------
-:mod:`repro.graph` compiles a forward into a replayable plan by *tracing* it
+:mod:`repro.graph` records a forward as a replayable graph by *tracing* it
 once.  This module carries the minimal hooks that make that possible without
 :mod:`repro.nn` depending on the graph package:
 
 * a per-thread **tracing context** — while a tracer is pushed,
   :meth:`Module.__call__` offers every call to it before (or instead of)
-  executing eagerly;
-* a **leaf-op registry** (:func:`register_trace_leaf`) mapping module types to
-  emitter callables — a registered module is recorded as one graph node
-  instead of being traced through;
+  executing eagerly; the tracer decides which modules are leaves it records
+  and which it traces through;
 * two global **epoch counters** used for plan-cache invalidation:
-  :func:`state_epoch` bumps whenever module state that a compiled plan may
-  have baked in changes (``load_state_dict``, submodule replacement,
+  :func:`state_epoch` bumps whenever module state that a stored plan may
+  depend on changes (``load_state_dict``, submodule replacement,
   quantization lifecycle transitions), and :func:`hook_epoch` bumps whenever
   a forward hook is registered or removed anywhere.
 """
@@ -35,7 +33,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +44,6 @@ __all__ = [
     "Module",
     "EXTRA_STATE_KEY",
     "active_tracer",
-    "register_trace_leaf",
-    "trace_leaf_emitter",
     "hook_epoch",
     "bump_hook_epoch",
     "state_epoch",
@@ -96,40 +92,6 @@ def suspend_plan_dispatch():
         yield
     finally:
         _DISPATCH_STATE.plan_suspended = prev
-
-
-# ----------------------------------------------------------------------
-# leaf-op registry
-# ----------------------------------------------------------------------
-#: module type -> emitter callable ``emitter(tracer, module, args, kwargs)``;
-#: populated by :mod:`repro.graph.tracer` (and extensible by user code)
-TRACE_LEAF_EMITTERS: Dict[type, Callable] = {}
-
-
-def register_trace_leaf(module_type: type):
-    """Decorator registering an op-node emitter for ``module_type``.
-
-    The emitter is called as ``emitter(tracer, module, args, kwargs)`` with
-    tracing suspended and must return the op's output value after recording
-    the node(s) that reproduce it (see :class:`repro.graph.tracer.Tracer`).
-    Subclasses inherit the nearest registered ancestor's emitter unless they
-    register their own.
-    """
-
-    def _register(emitter: Callable) -> Callable:
-        TRACE_LEAF_EMITTERS[module_type] = emitter
-        return emitter
-
-    return _register
-
-
-def trace_leaf_emitter(module) -> Optional[Callable]:
-    """Resolve the registered emitter for ``module`` (walking the MRO)."""
-    for cls in type(module).__mro__:
-        emitter = TRACE_LEAF_EMITTERS.get(cls)
-        if emitter is not None:
-            return emitter
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -363,12 +325,16 @@ class Module:
         :meth:`set_extra_state` *after* all plain arrays have been written, so
         packed storage restored from extra state wins over any float view of
         the same weight that was also in the dict.
+
+        Every entry is checked (unexpected keys when ``strict``, shapes,
+        read-only parameters) before any is written, so a load that raises
+        leaves the model as it was.
         """
-        bump_state_epoch()  # loaded weights invalidate compiled plans
         params = dict(self.named_parameters())
         buffers = {name: (owner, key) for owner, name, key in self._iter_buffer_owners()}
         modules = dict(self.named_modules())
-        missing: List[str] = []
+        unexpected: List[str] = []
+        writes: List[Tuple[np.ndarray, np.ndarray]] = []
         extras: List[Tuple[Module, object]] = []
         for name, value in state.items():
             if name == EXTRA_STATE_KEY or name.endswith(f".{EXTRA_STATE_KEY}"):
@@ -376,27 +342,33 @@ class Module:
                 if owner_path in modules:
                     extras.append((modules[owner_path], value))
                 elif strict:
-                    missing.append(name)
+                    unexpected.append(name)
                 continue
             if name in params:
-                if params[name].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: model {params[name].shape} vs state {value.shape}"
-                    )
-                if not params[name].data.flags.writeable:
-                    raise RuntimeError(
-                        f"cannot load {name}: the parameter is read-only because it is "
-                        "derived from packed 8-bit codes; load a packed checkpoint with "
-                        "repro.serialization.load_quantized or re-quantize the float model"
-                    )
-                params[name].data[...] = value
+                target = params[name].data
             elif name in buffers:
                 owner, key = buffers[name]
-                owner._buffers[key][...] = value
-            elif strict:
-                missing.append(name)
-        if strict and missing:
-            raise KeyError(f"unexpected keys in state dict: {missing}")
+                target = owner._buffers[key]
+            else:
+                if strict:
+                    unexpected.append(name)
+                continue
+            if target.shape != np.shape(value):
+                raise ValueError(
+                    f"shape mismatch for {name}: model {target.shape} vs state {np.shape(value)}"
+                )
+            if not target.flags.writeable:
+                raise RuntimeError(
+                    f"cannot load {name}: the parameter is read-only because it is "
+                    "derived from packed 8-bit codes; load a packed checkpoint with "
+                    "repro.serialization.load_quantized or re-quantize the float model"
+                )
+            writes.append((target, value))
+        if unexpected:
+            raise KeyError(f"unexpected keys in state dict: {unexpected}")
+        bump_state_epoch()  # loaded weights invalidate stored plans
+        for target, value in writes:
+            target[...] = value
         for module, value in extras:
             module.set_extra_state(value)
 

@@ -50,13 +50,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.autograd.functional import linear_array
 from repro.autograd.tensor import Tensor
 from repro.fp8.int8 import int8_compute_qparams, int8_quantize_dequantize
 from repro.fp8.quantize import QuantizedTensor, compute_scale, quantize_dequantize
 from repro.nn.attention import BatchMatMul
 from repro.nn.elementwise import Add, Mul
 from repro.nn.layers import Conv2d, Embedding, EmbeddingBag, Linear
-from repro.nn.module import Module, bump_state_epoch, trace_leaf_emitter
+from repro.nn.module import Module, bump_state_epoch
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from repro.quantization.observers import Observer, build_observer
 from repro.quantization.qconfig import (
@@ -489,17 +490,17 @@ class QuantizedModule(Module):
     def trace_emit(self, tracer, args, kwargs):
         """Describe this wrapper's forward to an active tracer as graph nodes.
 
-        Emits symbolic ``qdq`` nodes for the activation Q/DQ of each Tensor
-        input (skipped for disabled configs, whose quantize is a pass-through)
-        and then hands the quantized values to the wrapped operator's own leaf
-        emitter.  Weight-bearing wrappers without a structured decomposition
-        (Conv2d) record one opaque node over the whole wrapper instead, so
-        replay re-binds the dequant cache inside ``forward()``.  Returns the
-        real output of the call, or ``None`` to decline — the trace then falls
-        back to eager for this input key.  Only consulted while
-        ``quantizing``; generic transient-decode streaming declines (only
-        operators with a structured streaming kernel — Linear, Embedding —
-        override this with a streaming emitter).
+        Records a Q/DQ node for each quantized Tensor input (skipped for
+        disabled configs, whose quantize is a pass-through) and then hands
+        the quantized values to :meth:`~repro.graph.tracer.Tracer.emit_leaf`,
+        which records the wrapped operator's node.  Weight-bearing wrappers
+        without a structured decomposition (Conv2d) record one node that runs
+        the wrapper's ``forward()`` instead, which re-binds the dequant cache.
+        Returns the real output of the call, or ``None`` to decline — the
+        trace then falls back to eager for this input key.  Only consulted
+        while ``quantizing``; generic transient-decode streaming declines
+        (only operators with a structured streaming kernel — Linear,
+        Embedding — override this with a streaming emitter).
         """
         if kwargs:
             return None
@@ -508,16 +509,10 @@ class QuantizedModule(Module):
         if self.has_weight and self.weight_q is not None:
             return tracer.record_opaque(self, args, kwargs)
         processed = self._trace_emit_qdq(tracer, args)
-        inner = self.inner
-        tracer.touch(inner)
-        emitter = trace_leaf_emitter(inner)
-        if emitter is None:
-            return None
-        self._bind_weight()
-        return emitter(tracer, inner, tuple(processed), {})
+        return tracer.emit_leaf(self.inner, tuple(processed), {})
 
     def _trace_emit_qdq(self, tracer, args):
-        """Emit one ``qdq`` node per quantized Tensor input; mirrors _process_inputs."""
+        """Record one Q/DQ node per quantized Tensor input; mirrors _process_inputs."""
         processed = []
         for idx, value in enumerate(args):
             if (
@@ -527,13 +522,21 @@ class QuantizedModule(Module):
             ):
                 slot = tracer.slot_of(value)
                 q = Tensor(self.input_quantizers[idx].quantize(value.data))
-                tracer.record("qdq", (slot,), q, module=self, index=idx)
+                tracer.record(self._input_qdq(idx), (slot,), q)
                 processed.append(q)
             else:
                 if isinstance(value, (Tensor, np.ndarray)):
                     tracer.slot_of(value)
                 processed.append(value)
         return processed
+
+    def _input_qdq(self, index: int):
+        """The Q/DQ step of input ``index``: its quantizer, looked up at replay."""
+
+        def quantize_input(x: np.ndarray) -> np.ndarray:
+            return self.input_quantizers[index].quantize(x)
+
+        return quantize_input
 
     # ------------------------------------------------------------------
     # state-dict composition (packed checkpointing)
@@ -650,8 +653,8 @@ class QuantizedLinear(QuantizedModule):
     def _stream_matmul(self, x: np.ndarray) -> np.ndarray:
         """The blocked streaming matmul on an already-processed input array.
 
-        The eager forward and the plan's ``qlinear_stream_mm`` step both
-        call this, so replay is bit-identical to eager in streaming mode.
+        The eager forward and the traced graph's streaming node both call
+        this, so replay is bit-identical to eager in streaming mode.
         """
         x_np = np.asarray(x, dtype=np.float32)
         wq = self.weight_q
@@ -663,9 +666,17 @@ class QuantizedLinear(QuantizedModule):
             np.add(y, bias.data, out=y)
         return y
 
+    def _cached_matmul(self, x: np.ndarray) -> np.ndarray:
+        """The cached-mode matmul on an already-processed input array: binds
+        the dequantized view, as :meth:`forward` does, then calls what the
+        wrapped Linear's forward calls."""
+        self._bind_weight()
+        bias = self.inner.bias
+        return linear_array(x, self.inner.weight.data, None if bias is None else bias.data)
+
     def trace_emit(self, tracer, args, kwargs):
-        """Emit a ``qdq`` node (when the activation is quantized) and a
-        ``qlinear_mm`` (cached) or ``qlinear_stream_mm`` (streaming) node."""
+        """Record a Q/DQ node (when the activation is quantized), then a node
+        calling :meth:`_cached_matmul` or, streaming, :meth:`_stream_matmul`."""
         if kwargs:
             return None
         (x,) = args
@@ -675,11 +686,11 @@ class QuantizedLinear(QuantizedModule):
         x_slot = tracer.slot_of(mm_in)
         if self._is_streaming():
             output = Tensor(self._stream_matmul(mm_in.data if isinstance(mm_in, Tensor) else mm_in))
-            tracer.record("qlinear_stream_mm", (x_slot,), output, module=self)
+            tracer.record(self._stream_matmul, (x_slot,), output)
         else:
             self._bind_weight()
             output = self.inner(mm_in)
-            tracer.record("qlinear_mm", (x_slot,), output, module=self)
+            tracer.record(self._cached_matmul, (x_slot,), output)
         return output
 
     def _iter_weight_blocks(self):
@@ -723,8 +734,8 @@ class QuantizedEmbedding(QuantizedModule):
         return self.inner(indices, **kwargs)
 
     def trace_emit(self, tracer, args, kwargs):
-        """One opaque node in either serving mode: replay calls the wrapper,
-        whose ``forward`` runs the cached lookup or the gather-decode."""
+        """One node running the wrapper's ``forward`` in either serving mode:
+        the cached lookup or the gather-decode."""
         return tracer.record_opaque(self, args, kwargs)
 
     def _forward_streaming(self, indices, **kwargs):

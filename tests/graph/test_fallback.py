@@ -6,6 +6,7 @@ silently wrong.
 """
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.autograd.tensor import Tensor, no_grad
@@ -136,6 +137,30 @@ class TestUntraceableModels:
         remove_plan_cache(model)
         np.testing.assert_array_equal(eager.data, out1.data)
         np.testing.assert_array_equal(eager.data, out2.data)
+
+    def test_leaf_keyword_arguments_raise_as_eager(self):
+        # a leaf's node replays positional arrays only: a keyword argument
+        # aborts the trace, and the eager forward then raises as it would
+        class KwLeaf(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.lin = nn.Linear(10, 10, rng=np.random.default_rng(0))
+                self.act = nn.ReLU()
+
+            def forward(self, x):
+                return self.act(self.lin(x), inplace=True)
+
+        model = KwLeaf()
+        model.eval()
+        cache = install_plan_cache(model)
+        with no_grad():
+            for _ in range(2):
+                with pytest.raises(TypeError, match="inplace"):
+                    model(batch((2, 10)))
+        stats = cache.stats()
+        remove_plan_cache(model)
+        assert stats["plans"] == 0
+        assert stats["trace_aborts"] == 1
 
     def test_trace_raises_on_untraceable_leaf(self):
         class Opaque(nn.Module):

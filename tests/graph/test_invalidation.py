@@ -12,7 +12,7 @@ from repro import nn
 from repro.autograd.tensor import Tensor, no_grad
 from repro.graph import install_plan_cache, remove_plan_cache
 from repro.nn.module import suspend_plan_dispatch
-from repro.quantization import quantize_model, set_serving_mode, standard_recipe
+from repro.quantization import extended_recipe, quantize_model, set_serving_mode, standard_recipe
 from repro.quantization.qconfig import Approach
 
 
@@ -153,6 +153,33 @@ class TestHookInvalidation:
         remove_plan_cache(model)
         assert stats["plans"] == 1  # traceable again after hook removal
         assert seen == []
+
+    def test_hook_on_a_wrapped_module_forces_eager(self):
+        # a quantized wrapper's nodes replay its wrapped module without that
+        # module's __call__, so a hook there must send the forward to eager
+        recipe = extended_recipe(
+            "E4M3",
+            approach=Approach.DYNAMIC,
+            skip_first_operator=False,
+            skip_last_operator=False,
+        )
+        rng = np.random.default_rng(0)
+        float_model = nn.Sequential(nn.Linear(12, 12, rng=rng), nn.LayerNorm(12))
+        qmodel = quantize_model(float_model, recipe).model
+        qmodel.eval()
+        x = probe()
+        cache = warmed_cache(qmodel, x)
+
+        seen = []
+        for wrapper in qmodel:
+            wrapper.inner.register_forward_hook(lambda m, inp, out: seen.append(type(m).__name__))
+        with no_grad():
+            qmodel(x)
+            qmodel(x)
+        stats = cache.stats()
+        remove_plan_cache(qmodel)
+        assert stats["plans"] == 0
+        assert seen == ["Linear", "LayerNorm"] * 2
 
     def test_hook_on_unrelated_model_keeps_plans(self):
         model = mlp()

@@ -120,6 +120,26 @@ class TestStateDict:
             model.load_state_dict(state, strict=True)
         model.load_state_dict(state, strict=False)
 
+    def test_shape_mismatch_writes_nothing(self):
+        model = small_model()
+        before = model.state_dict()
+        state = {name: np.zeros_like(value) for name, value in before.items()}
+        state["2.weight"] = np.zeros((1, 1), dtype=np.float32)  # after 0.weight
+        with pytest.raises(ValueError, match="2.weight"):
+            model.load_state_dict(state)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
+    def test_unexpected_key_writes_nothing(self):
+        model = small_model()
+        before = model.state_dict()
+        state = {name: np.zeros_like(value) for name, value in before.items()}
+        state["nonexistent"] = np.zeros(1)
+        with pytest.raises(KeyError, match="nonexistent"):
+            model.load_state_dict(state, strict=True)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
 
 class TestModes:
     def test_train_eval_propagates(self):

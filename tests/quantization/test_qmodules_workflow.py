@@ -154,6 +154,17 @@ class TestQuantizedWrappers:
         save_quantized(result.model, path)
         assert np.array_equal(load_quantized(path, build)(x).data, expected)
 
+    def test_load_state_dict_rejected_on_read_only_weight_writes_nothing(self):
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(nn.Linear(8, 16, rng=rng), nn.ReLU(), nn.Linear(16, 4, rng=rng))
+        result = quantize_model(model.eval(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
+        bias = result.model.get_submodule("0.inner").bias
+        expected = bias.data.copy()
+        state = {"0.inner.bias": np.ones(16, dtype=np.float32), "0.inner.weight": np.zeros((16, 8))}
+        with pytest.raises(RuntimeError, match="derived from packed 8-bit codes"):
+            result.model.load_state_dict(state, strict=False)
+        np.testing.assert_array_equal(bias.data, expected)
+
     def test_state_dict_carries_packed_weight_right_after_convert(self):
         model = nn.Sequential(nn.Linear(8, 4, rng=np.random.default_rng(0)))
         model.eval()
