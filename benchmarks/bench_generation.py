@@ -204,7 +204,7 @@ def measure_continuous_vs_drain():
     for admission, schedule in schedules.items():
         best = np.inf
         for _ in range(SERVE_ROUNDS):
-            engine = ServingEngine(model, plan_cache=False, decode_slots=SERVE_SLOTS)
+            engine = ServingEngine(model, decode_slots=SERVE_SLOTS)
             # warmup: spin up the driver thread and first-touch the decode pool
             engine.generate(prompts[0], GenerationRequest(max_new_tokens=2)).result(timeout=60)
             makespan, sequences = schedule(engine, prompts, SERVE_GAP_S)

@@ -44,7 +44,7 @@ def main() -> None:
                 calibration_data=bundle.calib_data,
                 prepare_inputs=bundle.prepare_inputs,
             ).model
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             quality = evaluate_generation_quality(
                 model, prompts, transition_probs=grammar, max_new_tokens=24, beam_size=4,
                 engine=engine,

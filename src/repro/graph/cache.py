@@ -16,10 +16,9 @@
 
 Cache keys and invalidation
 ---------------------------
-The key is the per-argument tuple ``(Tensor-or-ndarray, compat_key, exact
-shape)`` using the serving scheduler's :func:`~repro.serving.scheduler.compat_key`
-— the same key the continuous scheduler groups batches by, which is what lets
-engine workers look plans up for scheduler-formed groups.  Serving mode,
+The key is the per-argument tuple ``(Tensor-or-ndarray, dtype, exact shape)``.
+The serving scheduler groups requests by the same dtype and shape, so an
+engine holds one plan per request shape and batch size.  Serving mode,
 quantization state and parameter loads are covered by the global *state
 epoch* (any bump clears the cache), and forward-hook changes by the *hook
 epoch* (a bump drops plans that traced through a now-hooked module, and drops
@@ -51,7 +50,6 @@ from repro.nn.module import (
     state_epoch,
     suspend_plan_dispatch,
 )
-from repro.serving.scheduler import compat_key
 
 __all__ = ["PlanCache", "install_plan_cache", "remove_plan_cache", "plan_cache_of"]
 
@@ -90,7 +88,7 @@ class PlanCache:
                 data, tag = arg, "A"
             else:
                 return None
-            key.append((tag, compat_key(data), data.shape))
+            key.append((tag, data.dtype.str, data.shape))
         return tuple(key)
 
     def dispatch(self, model: Module, args: tuple, kwargs: dict):

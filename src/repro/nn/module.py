@@ -170,10 +170,21 @@ class Module:
     # ------------------------------------------------------------------
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
-            self.__dict__.setdefault("_parameters", OrderedDict())[name] = value
+            params = self.__dict__.setdefault("_parameters", OrderedDict())
+            if params.get(name, value) is not value:
+                # a stored plan's nodes hold the Parameter they traced
+                bump_state_epoch()
+            params[name] = value
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        # a plan cache (repro.graph) holds graphs bound to this very object,
+        # so a copy or a pickle leaves it behind and runs eagerly
+        state = self.__dict__.copy()
+        state.pop("_plan_cache", None)
+        return state
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-learnable persistent array (e.g. BatchNorm running stats)."""
@@ -278,6 +289,14 @@ class Module:
 
     def set_extra_state(self, state) -> None:
         """Restore the payload produced by :meth:`get_extra_state`."""
+        self.check_extra_state(state)
+
+    def check_extra_state(self, state) -> None:
+        """Raise if :meth:`set_extra_state` would reject ``state``; change nothing.
+
+        :meth:`load_state_dict` checks every extra-state entry this way before
+        its first write.  The base class has no extra state to restore.
+        """
         raise NotImplementedError(
             f"{type(self).__name__} received extra state but does not implement set_extra_state()"
         )
@@ -327,8 +346,9 @@ class Module:
         the same weight that was also in the dict.
 
         Every entry is checked (unexpected keys when ``strict``, shapes,
-        read-only parameters) before any is written, so a load that raises
-        leaves the model as it was.
+        read-only parameters, extra state through :meth:`check_extra_state`)
+        before any is written, so a load that raises leaves the model as it
+        was.
         """
         params = dict(self.named_parameters())
         buffers = {name: (owner, key) for owner, name, key in self._iter_buffer_owners()}
@@ -366,6 +386,8 @@ class Module:
             writes.append((target, value))
         if unexpected:
             raise KeyError(f"unexpected keys in state dict: {unexpected}")
+        for module, value in extras:
+            module.check_extra_state(value)
         bump_state_epoch()  # loaded weights invalidate stored plans
         for target, value in writes:
             target[...] = value

@@ -46,6 +46,7 @@ checkpoint; the bound float32 array is derived and cannot be written.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -95,6 +96,11 @@ PREFETCH_MODES = (False, "pipeline")
 #: output channels decoded per block in streaming mode for a wrapper with no
 #: per-module setting
 DEFAULT_STREAM_BLOCK = 64
+
+#: held from bind to drop by every transient streaming decode: one lock for
+#: the process, because a per-wrapper lock would stop wrappers from pickling
+#: (process-worker templates) and deep-copying
+_TRANSIENT_DECODE_LOCK = threading.Lock()
 
 
 class TensorQuantizer:
@@ -252,10 +258,10 @@ class QuantizedModule(Module):
     has_weight = True
     #: axis of the weight tensor that indexes output channels
     weight_channel_axis = 0
-    #: class-default output channels decoded per block by a blocked streaming
-    #: kernel; bounds Linear's transient float32 working set to
-    #: ``block * in_features * 4`` bytes.  A per-module setting overrides it
-    #: (see ``streaming_block_size()``).
+    #: output channels decoded per block by a blocked streaming kernel; bounds
+    #: Linear's transient float32 working set to ``block * in_features * 4``
+    #: bytes.  Assigning it on an instance overrides the class default for
+    #: that module (see ``streaming_block_size()``).
     streaming_block_channels = DEFAULT_STREAM_BLOCK
     #: streaming block prefetch setting (one of PREFETCH_MODES; honoured by
     #: operators with a blocked streaming kernel; see serving/prefetch.py)
@@ -326,32 +332,19 @@ class QuantizedModule(Module):
             self._bind_weight()
         bump_state_epoch()
 
-    def set_serving_mode(
-        self,
-        mode: str,
-        block_channels: Optional[int] = None,
-        prefetch: Union[bool, str, None] = None,
-    ) -> None:
+    def set_serving_mode(self, mode: str, prefetch: Union[bool, str, None] = None) -> None:
         """Select how the packed weight is served: ``"cached"`` or ``"streaming"``.
 
-        ``block_channels`` pins this module's streaming block size (output
-        channels decoded per block); when left ``None`` the module keeps its
-        current size, the class default unless set before (see
-        :meth:`streaming_block_size`).  ``prefetch`` selects the
-        block prefetch strategy for operators with a blocked streaming
-        kernel: ``False`` decodes inline, ``"pipeline"`` pipelines decode
-        across consecutive streaming layers via a shared pool (the
-        model-level wiring lives in
+        ``prefetch`` selects the block prefetch strategy for operators with a
+        blocked streaming kernel: ``False`` decodes inline, ``"pipeline"``
+        pipelines decode across consecutive streaming layers via a shared
+        pool (the model-level wiring lives in
         :func:`repro.quantization.workflow.set_serving_mode`; without a wired
-        coordinator the module decodes inline).  ``None`` leaves either
-        setting unchanged.
+        coordinator the module decodes inline).  ``None`` leaves the setting
+        unchanged.  Blocks are :meth:`streaming_block_size` output channels.
         """
         if mode not in SERVING_MODES:
             raise ValueError(f"unknown serving mode {mode!r}; expected one of {SERVING_MODES}")
-        if block_channels is not None:
-            if int(block_channels) < 1:
-                raise ValueError(f"block_channels must be >= 1, got {block_channels!r}")
-            self.streaming_block_channels = int(block_channels)
         if prefetch is not None:
             if prefetch is not False and prefetch != "pipeline":
                 raise ValueError(
@@ -369,12 +362,9 @@ class QuantizedModule(Module):
         bump_state_epoch()
 
     def streaming_block_size(self) -> int:
-        """This module's streaming block size (output channels decoded per block).
-
-        An explicit per-module setting (``set_serving_mode(...,
-        block_channels=)`` or direct assignment to
-        ``streaming_block_channels``), else the class default.
-        """
+        """This module's streaming block size (output channels decoded per block):
+        ``streaming_block_channels``, the class default unless assigned on the
+        instance."""
         return max(1, int(self.streaming_block_channels))
 
     def _calibration_fallbacks(self) -> Sequence[Optional[np.ndarray]]:
@@ -476,13 +466,16 @@ class QuantizedModule(Module):
         Operators with a structured streaming kernel (Linear's blocked matmul,
         Embedding's gather-decode) override this; the fallback still honours
         the no-persistent-cache contract — the float32 view only lives for the
-        duration of the call.
+        duration of the call.  The view is bound on the shared ``inner``, so
+        the call holds ``_TRANSIENT_DECODE_LOCK`` from bind to drop: another
+        thread serving the same model would otherwise run on the placeholder.
         """
-        try:
-            self._bind_weight()
-            return self.inner(*self._process_inputs(inputs), **kwargs)
-        finally:
-            self.drop_weight_cache()
+        with _TRANSIENT_DECODE_LOCK:
+            try:
+                self._bind_weight()
+                return self.inner(*self._process_inputs(inputs), **kwargs)
+            finally:
+                self.drop_weight_cache()
 
     # ------------------------------------------------------------------
     # tracing integration (see repro.graph)
@@ -580,6 +573,19 @@ class QuantizedModule(Module):
             state["weight_q"] = weight_state
         return state
 
+    def check_extra_state(self, state) -> None:
+        """Reject a payload that is not a wrapper's, or that was saved for
+        another inner module type, before anything is restored."""
+        name = self.module_name or "wrapper"
+        if not isinstance(state, dict) or "config" not in state:
+            raise ValueError(f"extra state for {name} is not a quantized wrapper's state")
+        inner_type = state.get("inner_type")
+        if inner_type is not None and inner_type != type(self.inner).__name__:
+            raise ValueError(
+                f"extra state for {name} was saved for inner module "
+                f"type {inner_type}, but this wrapper holds {type(self.inner).__name__}"
+            )
+
     def set_extra_state(self, state: dict) -> None:
         """Rebuild quantizers, packed weight and lifecycle flags from :meth:`get_extra_state`.
 
@@ -589,12 +595,7 @@ class QuantizedModule(Module):
         flag that older checkpoints carry is ignored: every loaded wrapper is
         served the same way.
         """
-        inner_type = state.get("inner_type")
-        if inner_type is not None and inner_type != type(self.inner).__name__:
-            raise ValueError(
-                f"extra state for {self.module_name or 'wrapper'} was saved for inner module "
-                f"type {inner_type}, but this wrapper holds {type(self.inner).__name__}"
-            )
+        self.check_extra_state(state)
         self.config = OperatorQuantConfig.from_dict(state["config"])
         self.input_quantizers = [
             TensorQuantizer(self.config.activation) for _ in range(self.num_inputs)

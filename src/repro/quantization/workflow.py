@@ -242,15 +242,9 @@ def storage_report(model: Module) -> List[dict]:
     return rows
 
 
-def set_serving_mode(
-    model: Module,
-    mode: str,
-    block_channels: Optional[int] = None,
-    prefetch: Union[bool, str, None] = None,
-) -> int:
+def set_serving_mode(model: Module, mode: str, prefetch: Union[bool, str, None] = None) -> int:
     """Set the serving mode (``"cached"`` / ``"streaming"``) on every wrapper.
 
-    ``block_channels`` pins the streaming block size on every wrapper;
     ``prefetch`` selects block prefetch on operators with a blocked streaming
     kernel: ``False`` decodes inline, ``"pipeline"`` pipelines decode across
     layers — this is where the model-level wiring happens: one shared
@@ -258,14 +252,15 @@ def set_serving_mode(
     model's blocked streaming wrappers in module definition order (the
     workflow's usual proxy for execution order) and attached to each of
     them, so layer *k+1*'s first blocks decode while layer *k* finishes.
-    ``None`` leaves either setting untouched; any other value raises
-    ``ValueError``.
+    ``None`` leaves the setting untouched; any other value raises
+    ``ValueError``.  Every wrapper keeps its streaming block size
+    (``QuantizedModule.streaming_block_size``).
     """
     count = 0
     wrappers = []
     for _, module in model.named_modules():
         if isinstance(module, QuantizedModule):
-            module.set_serving_mode(mode, block_channels=block_channels, prefetch=prefetch)
+            module.set_serving_mode(mode, prefetch=prefetch)
             wrappers.append(module)
             count += 1
     if prefetch == "pipeline" and mode == "streaming":

@@ -23,9 +23,7 @@ The packed codes are the storage of record.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Optional
 
 from repro.nn.module import EXTRA_STATE_KEY, Module
 from repro.quantization.qconfig import OperatorQuantConfig, QuantizationRecipe
@@ -118,13 +116,6 @@ def _check_meta(meta: dict, path: str) -> dict:
     return meta
 
 
-def _validated_meta(
-    path: str, mmap: bool = False, verify: bool = True
-) -> Tuple[Dict[str, np.ndarray], dict]:
-    arrays, meta = read_container(path, mmap=mmap, verify=verify)
-    return arrays, _check_meta(meta, path)
-
-
 def read_checkpoint_meta(path: str) -> dict:
     """Header-level inspection: kind, versions, recipe and module table.
 
@@ -147,9 +138,7 @@ def load_quantized(
     path: str,
     model_factory: ModelFactory,
     serving_mode: Optional[str] = None,
-    strict: bool = True,
     mmap: bool = False,
-    verify: bool = True,
 ) -> Module:
     """Rebuild a converted model from a packed checkpoint — float32-free.
 
@@ -176,14 +165,15 @@ def load_quantized(
     exactly once per process (``resident_report([replica, ...])`` then
     counts them once too).
 
-    ``verify=True`` (default) enforces the container's per-span integrity
-    digests: copied loads raise
-    :class:`~repro.serialization.container.ChecksumError` at load time for a
-    corrupt payload span; mmap loads verify each span lazily on the first
-    decode touch of a view into it.  Version-1 checkpoints (no digests) load
-    unchanged.
+    Loads are strict — every state entry must belong to the rebuilt model —
+    and verified against the container's per-span integrity digests: copied
+    loads raise :class:`~repro.serialization.container.ChecksumError` at load
+    time for a corrupt payload span; mmap loads verify each span lazily on
+    the first decode touch of a view into it.  Version-1 checkpoints (no
+    digests) load unchanged.
     """
-    arrays, meta = _validated_meta(path, mmap=mmap, verify=verify)
+    arrays, meta = read_container(path, mmap=mmap)
+    meta = _check_meta(meta, path)
     state = unflatten_state(meta["state"], arrays)
 
     model = model_factory()
@@ -214,7 +204,7 @@ def load_quantized(
         config = OperatorQuantConfig.from_dict(extra["config"])
         model.set_submodule(name, wrap_module(_type_name_for(module), module, config, name=name))
 
-    model.load_state_dict(state, strict=strict)
+    model.load_state_dict(state)
     if serving_mode is not None:
         set_serving_mode(model, serving_mode)
     return model

@@ -4,8 +4,8 @@ The throughput side of deployment, on top of the packed storage and
 streaming serving modes:
 
 * :class:`~repro.serving.engine.ServingEngine` — N workers over a
-  continuous-batching scheduler: compatible single-sample requests fuse into
-  one forward call (stack, or pad along axis 0), newly-arrived requests join
+  continuous-batching scheduler: single-sample requests of one exact shape
+  fuse into one stacked forward call, newly-arrived requests join
   the next forward of an in-flight compatibility group instead of waiting
   for a drain, and per-request priorities/deadlines order admission.
   Thread and process workers share one protocol

@@ -6,8 +6,8 @@ is to run one forward for many requests.  :class:`ServingEngine` does exactly
 that: callers :meth:`~ServingEngine.submit` individual samples (optionally
 with a priority and a deadline) and get a :class:`concurrent.futures.Future`
 back; worker threads pull **compatibility groups** from a
-:class:`~repro.serving.scheduler.ContinuousScheduler`, stack (or pad) each
-group into one batch, run a single forward, and fan the rows back out to the
+:class:`~repro.serving.scheduler.ContinuousScheduler`, stack each group
+into one batch, run a single forward, and fan the rows back out to the
 waiting futures.
 
 Continuous batching
@@ -32,10 +32,11 @@ is replicas that share one read-only mmap'd checkpoint via
 ``load_quantized(..., mmap=True)``, so the packed bytes on disk are mapped
 exactly once per process no matter how many replicas serve them
 (:meth:`ServingEngine.from_checkpoint` wires this).  With a single model
-and ``workers>1`` every worker shares it; that is safe for the lock-free
-streaming kernels (blocked Linear matmul, Embedding gather-decode — they only
-read ``weight_q``) but not for wrappers that rebind transient weight caches
-in their forward.  Forwards run under the thread-local ``no_grad``.
+and ``workers>1`` every worker shares it.  That is safe in every serving
+mode: the blocked Linear matmul and the Embedding gather-decode only read
+``weight_q``, and a wrapper that decodes its weight transiently holds one
+process-wide lock from binding the view to dropping it.  Forwards run under
+the thread-local ``no_grad``.
 
 ``worker_mode="process"`` swaps what each slot's thread drives, not the
 path: every slot is one engine thread plus a worker behind one protocol
@@ -50,18 +51,13 @@ native-kernel segfault, an OOM kill, ``SIGKILL`` — while the dispatcher
 loop, supervisor, retry and overload paths stay the same code, and results
 stay bit-identical.
 
-Compatibility and padding
--------------------------
-Two samples can share a forward call when stacking them is meaningful:
-
-* rank-0/rank-1 samples (feature vectors) must have identical shapes and are
-  stacked along a new leading axis;
-* rank >= 2 samples (e.g. ``(seq_len, features)``) must agree on every
-  dimension except the first; shorter samples are padded along axis 0 with
-  ``pad_value`` up to the group's maximum length, and each output is sliced
-  back to its own length.  Slicing assumes the model preserves the leading
-  axis — declare ``slice_padded_outputs=False`` for models that reduce over
-  it (outputs are then handed back unsliced).
+Compatibility
+-------------
+A one-shot batch is requests of one exact shape and dtype
+(:func:`~repro.serving.scheduler.compat_key`), stacked along a new leading
+axis; row *i* of the output is request *i*'s result.  Nothing is padded, so
+each result is the model's output on the request itself: sequences of
+different lengths are served in separate batches.
 
 Cancelling a submitted future is safe: a request cancelled while queued is
 skipped when its group is served (workers mark futures RUNNING before the
@@ -166,6 +162,12 @@ class _WorkerSlot:
 class ServingEngine:
     """Request queue + continuous batcher + N worker threads around served models.
 
+    Every distinct replica gets a compiled-plan cache (see :mod:`repro.graph`;
+    a worker process installs its own): the first forward of a shape traces
+    and verifies a plan, later forwards of that shape replay it, and
+    untraceable models run eagerly.  Aggregated cache counters appear in
+    :attr:`stats` under ``"plan_cache"``.
+
     Parameters
     ----------
     model:
@@ -178,41 +180,15 @@ class ServingEngine:
     max_wait_ms:
         Admission window: how long a compatibility bucket may wait for
         co-riders after its first request.
-    pad_value:
-        Fill value for axis-0 padding of rank >= 2 groups.
-    slice_padded_outputs:
-        Contract for padded variable-length groups.  ``True`` (default)
-        declares that the model preserves the leading (sequence) axis, so
-        each padded request's output is sliced back to its own length.  Set
-        ``False`` for models that *reduce* over the sequence axis (pooling,
-        classification heads): outputs are then returned unsliced.  This is
-        an explicit declaration, not a runtime shape guess — with the wrong
-        setting a sequence-reducing model whose feature width happens to
-        equal the padded length would be silently truncated.
     workers:
         Number of driver threads.  Defaults to one per replica (1 for a
         single model).  With a single model and ``workers>1`` all workers
         share it (see the module docstring for the thread-safety contract).
-    plan_cache:
-        Compiled-plan dispatch for worker forwards (see :mod:`repro.graph`).
-        ``True`` (default) installs a plan cache on each distinct replica:
-        the first forward for a scheduler compat-key traces and compiles a
-        plan, and steady-state batched traffic replays it with zero
-        per-layer module dispatch (plan lookup is thread-safe and replay
-        allocates its results as eager does, so shared-model workers replay
-        concurrently).  Eager execution remains the fallback — and the
-        bit-exactness oracle — for untraceable models, so ``True`` is
-        always safe.  ``False`` disables plan dispatch entirely.  Aggregated
-        cache counters appear in :attr:`stats` under ``"plan_cache"``.
     decode_slots:
         KV-cache row budget of the generation tier (see :meth:`generate`):
         how many beams may decode concurrently before new arrivals queue or
         preempt.  The decode state is allocated lazily on the first
         ``generate`` call, so non-generating engines pay nothing.
-    decode_memory_budget:
-        Optional cap in **bytes** on per-storage decode-state memory; when
-        given, ``decode_slots`` is lowered to ``budget // row_nbytes`` (the
-        cost of one float32 cache row at full capacity).
     max_queue_depth:
         Optional cap on queued one-shot requests.  At the cap, admission
         fast-fails with :class:`~repro.serving.errors.QueueFull` (or sheds
@@ -272,12 +248,8 @@ class ServingEngine:
         model: Union[Module, Sequence[Module]],
         max_batch_size: int = 8,
         max_wait_ms: float = 2.0,
-        pad_value: float = 0.0,
-        slice_padded_outputs: bool = True,
         workers: Optional[int] = None,
-        plan_cache: bool = True,
         decode_slots: int = 16,
-        decode_memory_budget: Optional[int] = None,
         max_queue_depth: Optional[int] = None,
         shed_policy: str = "reject",
         hung_forward_timeout_ms: Optional[float] = None,
@@ -318,8 +290,6 @@ class ServingEngine:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size!r}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms!r}")
-        if not isinstance(plan_cache, bool):
-            raise ValueError(f"plan_cache must be True or False, got {plan_cache!r}")
         if int(decode_slots) < 1:
             raise ValueError(f"decode_slots must be >= 1, got {decode_slots!r}")
         if hung_forward_timeout_ms is not None and hung_forward_timeout_ms <= 0:
@@ -342,8 +312,8 @@ class ServingEngine:
         self.worker_mode = worker_mode
         self._plan_caches = []
         # process mode installs no parent-side plan caches: each worker
-        # process traces/compiles its own (the spec carries the setting)
-        if plan_cache and worker_mode != "process":
+        # process installs its own (WorkerSpec.build)
+        if worker_mode != "process":
             # lazy import: serving stays importable without the graph package
             from repro.graph import install_plan_cache
 
@@ -355,10 +325,7 @@ class ServingEngine:
                 self._plan_caches.append(install_plan_cache(replica))
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_ms) / 1000.0
-        self.pad_value = pad_value
-        self.slice_padded_outputs = bool(slice_padded_outputs)
         self.decode_slots = int(decode_slots)
-        self.decode_memory_budget = decode_memory_budget
         self.max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
         self.shed_policy = shed_policy
         self.hung_forward_timeout_s = (
@@ -381,7 +348,6 @@ class ServingEngine:
             "requests": 0,
             "batches": 0,
             "batched_requests": 0,
-            "padded_requests": 0,
             "failed_requests": 0,
             "expired_requests": 0,
             "max_batch": 0,
@@ -422,7 +388,7 @@ class ServingEngine:
                         "ServingEngine.from_checkpoint(..., worker_mode='process'), "
                         "which ships the checkpoint path instead of the model"
                     ) from exc
-                self._worker_spec = WorkerSpec(model_pickle=blob, plan_cache=plan_cache)
+                self._worker_spec = WorkerSpec(model_pickle=blob)
         self._stop_supervisor = threading.Event()
         self._slots: List[_WorkerSlot] = [self._start_slot(index) for index in range(workers)]
         self._supervisor = threading.Thread(
@@ -438,9 +404,7 @@ class ServingEngine:
         cls,
         path: str,
         model_factory: Callable[[], Module],
-        mmap: bool = True,
         serving_mode: str = "streaming",
-        block_channels: Optional[int] = None,
         prefetch: Union[bool, str, None] = "pipeline",
         workers: int = 1,
         worker_mode: str = "thread",
@@ -448,64 +412,48 @@ class ServingEngine:
     ) -> "ServingEngine":
         """The full cold-start wiring: mmap load → serving mode → engine.
 
-        ``worker_mode="thread"`` (default) loads ``workers`` replicas of the
-        packed checkpoint zero-copy (codes paged on first touch; with
-        ``mmap=True`` the replicas share **one** file mapping, so the packed
-        bytes are mapped exactly once per process), puts every wrapper into
-        ``serving_mode`` with the requested block size and prefetch setting
-        (the default ``prefetch="pipeline"`` enables cross-layer pipelined
-        block decode, ``False`` decodes inline), and returns a running engine
-        with one worker per replica.
+        Every replica is built by :meth:`WorkerSpec.build
+        <repro.serving.worker_proc.WorkerSpec.build>`, the method a worker
+        process runs: ``load_quantized(path, model_factory, mmap=True)`` (codes
+        paged on first touch), then ``serving_mode`` and ``prefetch`` on every
+        wrapper (the default ``prefetch="pipeline"`` enables cross-layer
+        pipelined block decode, ``False`` decodes inline).
 
-        ``worker_mode="process"`` instead ships the *checkpoint path* to
-        ``workers`` worker processes: each child re-runs
-        ``load_quantized(path, model_factory, mmap=True)`` in its own address
-        space (one mapping per process; the OS page cache shares the packed
-        bytes machine-wide, so N processes still cost one physical copy) and
-        serves batches over IPC — crash-isolated and GIL-free.
-        ``model_factory`` must then be picklable (a module-level callable,
-        not a lambda), because the spec crosses the process boundary.  The
-        parent keeps one replica of its own as ``engine.model`` for
-        inspection; it never serves requests.
+        ``worker_mode="thread"`` (default) builds ``workers`` replicas, which
+        share **one** file mapping, so the packed bytes are mapped exactly
+        once per process, and returns a running engine with one worker per
+        replica.
+
+        ``worker_mode="process"`` instead ships the spec to ``workers`` worker
+        processes: each child builds its replica in its own address space (one
+        mapping per process; the OS page cache shares the packed bytes
+        machine-wide, so N processes still cost one physical copy) and serves
+        batches over IPC — crash-isolated and GIL-free.  ``model_factory``
+        must then be picklable (a module-level callable, not a lambda),
+        because the spec crosses the process boundary.  The parent keeps one
+        replica of its own as ``engine.model`` for inspection; it never
+        serves requests.
         """
-        # local import: repro.serialization pulls the quantization workflow,
-        # which this module must not require at import time
-        from repro.quantization.workflow import set_serving_mode
-        from repro.serialization import load_quantized
-
         worker_mode = validate_worker_mode(worker_mode)
         workers = int(workers)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
+        spec = WorkerSpec(
+            checkpoint_path=os.fspath(path),
+            model_factory=model_factory,
+            serving_mode=serving_mode,
+            prefetch=prefetch,
+        )
         if worker_mode == "process":
-            spec = WorkerSpec(
-                checkpoint_path=os.fspath(path),
-                model_factory=model_factory,
-                mmap=bool(mmap),
-                serving_mode=serving_mode,
-                block_channels=block_channels,
-                prefetch=prefetch,
-                plan_cache=engine_kwargs.get("plan_cache", True),
-            )
-            template = load_quantized(path, model_factory, mmap=mmap)
-            set_serving_mode(
-                template, serving_mode, block_channels=block_channels, prefetch=prefetch
-            )
             return cls(
-                template,
+                spec.build(),
                 workers=workers,
                 worker_mode="process",
                 worker_spec=spec,
                 **engine_kwargs,
             )
-        replicas = []
-        for _ in range(workers):
-            replica = load_quantized(path, model_factory, mmap=mmap)
-            set_serving_mode(
-                replica, serving_mode, block_channels=block_channels, prefetch=prefetch
-            )
-            replicas.append(replica)
-        return cls(replicas if workers > 1 else replicas[0], workers=workers, **engine_kwargs)
+        replicas = [spec.build() for _ in range(workers)]
+        return cls(replicas, workers=workers, **engine_kwargs)
 
     def drain(self) -> None:
         """Stop admitting new work but keep serving everything already queued.
@@ -728,7 +676,6 @@ class ServingEngine:
                 driver = GenerationDriver(
                     self.model,
                     slots=self.decode_slots,
-                    memory_budget=self.decode_memory_budget,
                     admission=self._admission,
                 )
                 self._generation_driver = driver
@@ -894,32 +841,19 @@ class ServingEngine:
             return
         started = time.monotonic()
         waits = [started - request.submitted for request in requests]
-        samples = [request.sample for request in requests]
-        lengths = [sample.shape[0] if sample.ndim else 0 for sample in samples]
-        padded = samples[0].ndim >= 2 and len(set(lengths)) > 1
         forward_s = None
         try:
             faults.fire("engine.forward", worker=slot.index, group_size=len(requests))
-            if padded:
-                target = max(lengths)
-                stacked = np.full(
-                    (len(samples), target) + samples[0].shape[1:],
-                    self.pad_value,
-                    dtype=samples[0].dtype,
-                )
-                for row, sample in zip(stacked, samples):
-                    row[: sample.shape[0]] = sample
-            else:
-                stacked = np.stack(samples)
+            stacked = np.stack([request.sample for request in requests])
             t0 = time.perf_counter()
             # for a process worker forward_s includes the IPC round trip —
             # the honest per-group cost of process mode, not just child compute
             output = slot.worker.run(stacked)
             forward_s = time.perf_counter() - t0
-            if output.shape[0] != len(samples):
+            if output.shape[0] != len(requests):
                 raise RuntimeError(
                     f"model returned leading dimension {output.shape[0]} for a batch of "
-                    f"{len(samples)} requests; the served model must preserve the batch axis"
+                    f"{len(requests)} requests; the served model must preserve the batch axis"
                 )
         except Exception as exc:  # noqa: BLE001 - ordinary failures belong to the futures
             # (BaseException — an injected or real crash — escapes to _work
@@ -935,25 +869,11 @@ class ServingEngine:
         with self._lock:
             self._stats["batches"] += 1
             self._stats["batched_requests"] += len(requests)
-            self._stats["padded_requests"] += len(requests) if padded else 0
             self._stats["max_batch"] = max(self._stats["max_batch"], len(requests))
             self._queue_wait_s.extend(waits)
             self._forward_s.append(forward_s)
             self._group_sizes.append(len(requests))
-        for index, request in enumerate(requests):
-            row = output[index]
-            if padded and self.slice_padded_outputs:
-                if row.ndim < 1 or row.shape[0] != stacked.shape[1]:
-                    request.fail(
-                        RuntimeError(
-                            f"padded group output has leading shape {row.shape}, expected "
-                            f"length {stacked.shape[1]}; the served model does not preserve "
-                            "the sequence axis — construct the engine with "
-                            "slice_padded_outputs=False"
-                        )
-                    )
-                    continue
-                row = row[: lengths[index]]
+        for request, row in zip(requests, output):
             request.succeed(row)
 
     # ------------------------------------------------------------------

@@ -230,7 +230,6 @@ class GenerationDriver:
         self,
         model,
         slots: int = 16,
-        memory_budget: Optional[int] = None,
         admission: Optional[Admission] = None,
     ) -> None:
         if not hasattr(model, "forward_step") or not hasattr(model, "new_decode_state"):
@@ -239,9 +238,6 @@ class GenerationDriver:
                 "(needs new_decode_state/forward_step, e.g. GPTStyleLM)"
             )
         self._model = model
-        if memory_budget is not None:
-            probe = model.new_decode_state(1, storage="float32")
-            slots = min(int(slots), max(1, int(memory_budget) // max(1, probe.row_nbytes)))
         self._scheduler = TokenScheduler(int(slots), admission=admission)
         self._pools: Dict[str, DecodeStatePool] = {}
         self._cond = threading.Condition()

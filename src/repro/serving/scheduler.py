@@ -88,15 +88,9 @@ def _percentiles_ms(values: Sequence[float]) -> tuple:
 
 
 def compat_key(sample: np.ndarray) -> Tuple:
-    """Group key: which requests may share one stacked/padded forward call.
-
-    rank-0/rank-1 samples must match exactly and are stacked; rank >= 2
-    samples must agree on every dimension except the first (they are padded
-    along axis 0 by the engine).
-    """
-    if sample.ndim <= 1:
-        return ("exact", sample.dtype.str, sample.shape)
-    return ("padded", sample.dtype.str, sample.ndim, sample.shape[1:])
+    """Group key: requests share one stacked forward call only at one exact
+    dtype and shape, so every row of the batch is a request as submitted."""
+    return (sample.dtype.str, sample.shape)
 
 
 class Admission:

@@ -71,50 +71,44 @@ def forward_batch(model, batch: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WorkerSpec:
-    """Everything a worker process needs to build its model replica.
+    """Everything needed to build one model replica, in this process or a child.
 
-    The spec itself crosses the process boundary (pickled into the spawn
-    args), so every field must be picklable — in particular
+    ``ServingEngine.from_checkpoint`` builds its thread replicas and its
+    process-mode template with :meth:`build`, and every worker process runs
+    the same method.  The spec itself crosses the process boundary (pickled
+    into the spawn args), so every field must be picklable — in particular
     ``model_factory`` must be a module-level callable, not a lambda or
-    closure.  Exactly one of ``checkpoint_path`` / ``model_pickle`` is set.
+    closure.  Exactly one of ``checkpoint_path`` / ``model_pickle`` is set;
+    ``serving_mode`` and ``prefetch`` apply to checkpoint loads.
     """
 
     checkpoint_path: Optional[str] = None
     model_factory: Optional[Callable[[], Any]] = None
     model_pickle: Optional[bytes] = None
-    mmap: bool = True
     serving_mode: Optional[str] = "streaming"
-    block_channels: Optional[int] = None
     prefetch: Union[bool, str, None] = "pipeline"
-    plan_cache: bool = True
 
     def build(self):
-        """Construct the replica in the current process (called in the child)."""
+        """Construct the replica in the current process, with a plan cache installed."""
+        # local imports: the spec must unpickle in a child that has not
+        # (and may never) import the serialization or graph packages
+        from repro.graph import install_plan_cache
+
         if self.checkpoint_path is not None:
-            # local imports: the spec must unpickle in a child that has not
-            # (and may never) import the serialization stack
             from repro.quantization.workflow import set_serving_mode
             from repro.serialization import load_quantized
 
             # an mmap load goes through the inode-keyed mapping cache, so a
-            # worker process maps the checkpoint exactly once no matter how it
-            # is reloaded (and reports it in the ready payload)
-            model = load_quantized(self.checkpoint_path, self.model_factory, mmap=self.mmap)
+            # process maps the checkpoint exactly once no matter how often it
+            # is reloaded (a worker reports it in the ready payload)
+            model = load_quantized(self.checkpoint_path, self.model_factory, mmap=True)
             if self.serving_mode is not None:
-                set_serving_mode(
-                    model,
-                    self.serving_mode,
-                    block_channels=self.block_channels,
-                    prefetch=self.prefetch,
-                )
+                set_serving_mode(model, self.serving_mode, prefetch=self.prefetch)
         elif self.model_pickle is not None:
             model = pickle.loads(self.model_pickle)
         else:
             raise ValueError("WorkerSpec needs a checkpoint_path or a model_pickle")
-        if self.plan_cache:
-            from repro.graph import install_plan_cache
-
-            install_plan_cache(model)
+        install_plan_cache(model)
         return model
 
 

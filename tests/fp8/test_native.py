@@ -313,7 +313,12 @@ def _streaming_linear(per_row, block=16):
     37 output channels in 16-row blocks leave a ragged 5-row tail block.
     """
     from repro import nn
-    from repro.quantization import quantize_model, set_serving_mode, standard_recipe
+    from repro.quantization import (
+        QuantizedModule,
+        quantize_model,
+        set_serving_mode,
+        standard_recipe,
+    )
     from repro.quantization.qconfig import Approach, Granularity
 
     recipe = standard_recipe(
@@ -326,7 +331,10 @@ def _streaming_linear(per_row, block=16):
     model = nn.Sequential(nn.Linear(129, 37, rng=np.random.default_rng(3)))
     qmodel = quantize_model(model, recipe).model
     qmodel.eval()
-    set_serving_mode(qmodel, "streaming", block_channels=block, prefetch=False)
+    for module in qmodel.modules():
+        if isinstance(module, QuantizedModule):
+            module.streaming_block_channels = block
+    set_serving_mode(qmodel, "streaming", prefetch=False)
     return qmodel
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from repro import nn
 from repro.autograd.tensor import Tensor, no_grad
 from repro.graph import install_plan_cache, remove_plan_cache
-from repro.nn.module import suspend_plan_dispatch
+from repro.nn.module import Parameter, suspend_plan_dispatch
 from repro.quantization import extended_recipe, quantize_model, set_serving_mode, standard_recipe
 from repro.quantization.qconfig import Approach
 
@@ -63,6 +63,21 @@ class TestStateInvalidation:
         with no_grad():
             donor_out = donor(x)
         np.testing.assert_array_equal(donor_out.data, out.data)
+
+    def test_parameter_reassignment_drops_plans(self):
+        model = nn.Sequential(nn.Linear(4, 4, rng=np.random.default_rng(0))).eval()
+        x = probe(width=4)
+        cache = warmed_cache(model, x)
+
+        model.get_submodule("0").weight = Parameter(np.zeros((4, 4), dtype=np.float32))
+        with no_grad():
+            out = model(x)
+            with suspend_plan_dispatch():
+                eager = model(x)
+        stats = cache.stats()
+        remove_plan_cache(model)
+        assert stats["state_invalidations"] == 1
+        np.testing.assert_array_equal(out.data, eager.data)
 
     def test_set_serving_mode_drops_plans(self):
         recipe = standard_recipe(

@@ -130,6 +130,16 @@ class TestStateDict:
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
 
+    def test_extra_state_for_a_module_without_set_extra_state_writes_nothing(self):
+        model = small_model()
+        before = model.state_dict()
+        state = {name: np.zeros_like(value) for name, value in before.items()}
+        state["0._extra_state"] = {"config": {}}
+        with pytest.raises(NotImplementedError, match="set_extra_state"):
+            model.load_state_dict(state)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
     def test_unexpected_key_writes_nothing(self):
         model = small_model()
         before = model.state_dict()

@@ -248,22 +248,12 @@ class TestStreamingBlockConfig:
         result = quantize_model(model, standard_recipe("E4M3", approach=Approach.DYNAMIC))
         return result.model, _wrappers(result.model)[0]
 
-    def test_set_serving_mode_block_channels_wins(self):
-        model, wrapper = self._linear_wrapper()
-        assert wrapper.streaming_block_size() == type(wrapper).streaming_block_channels
-        set_serving_mode(model, "streaming", block_channels=5)
-        assert wrapper.streaming_block_size() == 5
-
-    def test_invalid_block_channels_rejected(self):
-        _, wrapper = self._linear_wrapper()
-        with pytest.raises(ValueError, match="block_channels"):
-            wrapper.set_serving_mode("streaming", block_channels=0)
-
     def test_block_size_changes_streaming_outputs_not(self):
         model, wrapper = self._linear_wrapper()
         probe = _probe(shape=(5, 16))
         cached_out = model(probe).data
-        set_serving_mode(model, "streaming", block_channels=7)  # 70 = 7 x 10
+        wrapper.streaming_block_channels = 7  # 70 = 7 x 10
+        set_serving_mode(model, "streaming")
         assert wrapper.streaming_block_size() == 7
         assert np.allclose(model(probe).data, cached_out, rtol=1e-5, atol=1e-6)
 

@@ -165,6 +165,19 @@ class TestQuantizedWrappers:
             result.model.load_state_dict(state, strict=False)
         np.testing.assert_array_equal(bias.data, expected)
 
+    def test_load_state_dict_rejected_extra_state_writes_nothing(self):
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(nn.Linear(8, 8, rng=rng), nn.ReLU(), nn.Linear(8, 4, rng=rng))
+        result = quantize_model(model.eval(), standard_recipe("E4M3", approach=Approach.DYNAMIC))
+        bias = result.model.get_submodule("0.inner").bias
+        expected = bias.data.copy()
+        state = result.model.state_dict()
+        state["0.inner.bias"] = np.full(8, 5.0, dtype=np.float32)
+        state["2._extra_state"]["inner_type"] = "Conv2d"
+        with pytest.raises(ValueError, match="Conv2d"):
+            result.model.load_state_dict(state)
+        np.testing.assert_array_equal(bias.data, expected)
+
     def test_state_dict_carries_packed_weight_right_after_convert(self):
         model = nn.Sequential(nn.Linear(8, 4, rng=np.random.default_rng(0)))
         model.eval()

@@ -197,7 +197,9 @@ class TestLoadQuantizedMmap:
         path = str(tmp_path / "m.rpq")
         save_quantized(result.model, path)
         mapped = load_quantized(path, _mlp, mmap=True)
-        set_serving_mode(mapped, "streaming", block_channels=16, prefetch="pipeline")
+        for wrapper in _wrappers(mapped):
+            wrapper.streaming_block_channels = 16
+        set_serving_mode(mapped, "streaming", prefetch="pipeline")
         assert np.allclose(mapped(probe).data, expected, rtol=1e-5, atol=1e-6)
         for wrapper in _wrappers(mapped):
             assert wrapper._weight_cache is None

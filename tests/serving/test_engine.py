@@ -1,4 +1,4 @@
-"""ServingEngine: continuous batching, multi-worker execution, padding, lifecycle."""
+"""ServingEngine: continuous batching, multi-worker execution, exact-shape groups, lifecycle."""
 
 import sys
 import threading
@@ -115,20 +115,34 @@ class TestTokenIdModels:
         np.testing.assert_array_equal(np.stack(outputs), expected)
 
 
-class TestPaddingAndGrouping:
-    def test_variable_length_sequences_padded_and_sliced(self):
+class MeanPool(Module):
+    def forward(self, x):
+        return Tensor(x.data.mean(axis=1))  # (B, T, F) -> (B, F)
+
+
+class TestExactShapeGrouping:
+    def test_each_sequence_length_is_its_own_batch(self):
         model = _mlp()
         rng = np.random.default_rng(5)
-        seqs = [rng.normal(0, 1, (length, 16)).astype(np.float32) for length in (3, 5, 2, 5)]
-        with no_grad():
-            expected = [model(Tensor(seq[None])).data[0] for seq in seqs]
-        with ServingEngine(model, max_batch_size=4, max_wait_ms=100, pad_value=0.0) as engine:
-            outputs = engine.serve_batch(seqs)
+        seqs = [rng.normal(0, 1, (length, 16)).astype(np.float32) for length in (3, 5, 5, 2)]
+        with ServingEngine(model, max_batch_size=4, max_wait_ms=100) as engine:
+            outputs = engine.serve_batch(seqs, timeout=30)
             stats = engine.stats
-        for out, exp, seq in zip(outputs, expected, seqs):
-            assert out.shape == (seq.shape[0], 8)
-            assert np.allclose(out, exp, rtol=1e-5, atol=1e-6)
-        assert stats["padded_requests"] > 0
+        assert stats["batches"] == 3
+        # each output is the model's own output on the batch its request rode
+        with no_grad():
+            for members in ([0], [1, 2], [3]):
+                direct = model(Tensor(np.stack([seqs[i] for i in members]))).data
+                for row, i in zip(direct, members):
+                    np.testing.assert_array_equal(outputs[i], row)
+
+    def test_sequence_reducing_model_returns_each_requests_own_mean(self):
+        rng = np.random.default_rng(8)
+        seqs = [rng.normal(0, 1, (n, 8)).astype(np.float32) for n in (5, 8)]
+        with ServingEngine(MeanPool(), max_batch_size=2, max_wait_ms=100) as engine:
+            outputs = engine.serve_batch(seqs, timeout=30)
+        for out, seq in zip(outputs, seqs):
+            np.testing.assert_array_equal(out, seq[None].mean(axis=1)[0])
 
     def test_incompatible_shapes_grouped_separately(self):
         model = _mlp()
@@ -220,36 +234,6 @@ class TestReviewRegressions:
             assert survivor.result(timeout=10).shape == (8,)
             assert engine.alive_workers == 1
             assert doomed.cancelled()
-
-    def test_sequence_reducing_model_unsliced_when_declared(self):
-        class MeanPool(Module):
-            def forward(self, x):
-                return Tensor(x.data.mean(axis=1))  # (B, T, F) -> (B, F)
-
-        rng = np.random.default_rng(8)
-        # padded length 8 == feature width 8: the shape coincidence that a
-        # runtime guess would silently truncate on
-        seqs = [rng.normal(0, 1, (n, 8)).astype(np.float32) for n in (5, 8)]
-        with ServingEngine(
-            MeanPool(), max_batch_size=2, max_wait_ms=100, slice_padded_outputs=False
-        ) as engine:
-            outputs = engine.serve_batch(seqs)
-        assert outputs[0].shape == (8,)
-        assert outputs[1].shape == (8,)
-
-    def test_sequence_reducing_model_fails_loudly_when_undeclared(self):
-        class MeanPool(Module):
-            def forward(self, x):
-                return Tensor(x.data.mean(axis=1))  # leading axis reduced away
-
-        rng = np.random.default_rng(8)
-        seqs = [rng.normal(0, 1, (n, 16)).astype(np.float32) for n in (3, 6)]
-        engine = ServingEngine(MeanPool(), max_batch_size=2, max_wait_ms=100)
-        futures = [engine.submit(seq) for seq in seqs]
-        for future in futures:
-            with pytest.raises(RuntimeError, match="slice_padded_outputs"):
-                future.result(timeout=10)
-        engine.close()
 
     def test_no_grad_is_thread_local(self):
         from repro.autograd.tensor import is_grad_enabled
@@ -418,6 +402,35 @@ class TestMultiWorker:
         for out, exp in zip(outputs[:4], expected):
             assert np.array_equal(out, exp)
 
+    def test_shared_transient_decode_model_across_workers(self):
+        # a streaming Conv2d wrapper binds its decoded weight on the shared
+        # inner module for the length of its forward; the other worker must
+        # never run on the placeholder the first one rebinds when it is done
+        rng = np.random.default_rng(0)
+        model = nn.Sequential(
+            nn.Conv2d(3, 16, 3, rng=rng), nn.ReLU(), nn.Conv2d(16, 16, 3, rng=rng)
+        ).eval()
+        recipe = standard_recipe(
+            "E4M3",
+            approach=Approach.DYNAMIC,
+            skip_first_operator=False,
+            skip_last_operator=False,
+        )
+        model = quantize_model(model, recipe, serving_mode="streaming").model
+        samples = [rng.normal(0, 1, (3, 12, 12)).astype(np.float32) for _ in range(400)]
+        with no_grad():
+            expected = [model(Tensor(sample[None])).data[0] for sample in samples]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingEngine(model, max_batch_size=1, max_wait_ms=0, workers=4) as engine:
+                outputs = engine.serve_batch(samples, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.alive_workers == 0
+        wrong = sum(not np.array_equal(out, exp) for out, exp in zip(outputs, expected))
+        assert wrong == 0, f"{wrong} of {len(samples)} served outputs differ from direct calls"
+
     def test_shared_pipelined_model_across_workers_stress(self):
         """More workers than cores share one model and its decode pool.
 
@@ -428,7 +441,10 @@ class TestMultiWorker:
         from repro.quantization import set_serving_mode
 
         model = _streaming_quantized(seed=9)
-        set_serving_mode(model, "streaming", block_channels=4, prefetch="pipeline")
+        for module in model.modules():
+            if isinstance(module, QuantizedLinear):
+                module.streaming_block_channels = 4
+        set_serving_mode(model, "streaming", prefetch="pipeline")
         samples = _samples(64, seed=24)
         with no_grad():
             expected = [

@@ -39,7 +39,13 @@ from repro.serving import (
     injected,
 )
 from repro.serving import faults as faults_mod
-from repro.quantization import Approach, quantize_model, set_serving_mode, standard_recipe
+from repro.quantization import (
+    Approach,
+    QuantizedModule,
+    quantize_model,
+    set_serving_mode,
+    standard_recipe,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +75,12 @@ class Gate(nn.module.Module):
         self.entered.set()
         assert self.release.wait(timeout=10), "Gate never released"
         return Tensor(np.asarray(x.data) * 1.0)
+
+
+def _set_block_channels(model, block):
+    for module in model.modules():
+        if isinstance(module, QuantizedModule):
+            module.streaming_block_channels = block
 
 
 def _samples(count, shape=(6,), seed=1):
@@ -372,7 +384,7 @@ class TestLifecycleStates:
 
     def test_drain_rejects_generation_too(self):
         model = small_lm()
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             engine.drain()
             with pytest.raises(EngineDraining):
                 engine.generate(np.array([1, 2]), GenerationRequest(max_new_tokens=2))
@@ -425,7 +437,7 @@ class TestGenerationFaults:
         prompt = np.array([1, 2, 3])
         ref = model.generate(prompt, max_new_tokens=6)
         with injected({"generation.tick": FaultSpec(kind="crash", on_calls={1}, max_fires=1)}):
-            with ServingEngine(model, plan_cache=False) as engine:
+            with ServingEngine(model) as engine:
                 future = engine.generate(prompt, GenerationRequest(max_new_tokens=6))
                 with pytest.raises(WorkerCrashed, match="tick thread died") as info:
                     future.result(timeout=30)
@@ -439,7 +451,7 @@ class TestGenerationFaults:
     def test_tick_crash_terminates_stream_with_error(self):
         model = small_lm()
         with injected({"generation.tick": FaultSpec(kind="crash", on_calls={1}, max_fires=1)}):
-            with ServingEngine(model, plan_cache=False) as engine:
+            with ServingEngine(model) as engine:
                 stream = engine.generate(
                     np.array([1, 2]), GenerationRequest(max_new_tokens=8, stream=True)
                 )
@@ -451,7 +463,7 @@ class TestGenerationFaults:
         prompt = np.array([4, 5])
         ref = model.generate(prompt, max_new_tokens=5)
         with injected({"generation.tick": FaultSpec(kind="error", on_calls={1}, max_fires=1)}):
-            with ServingEngine(model, plan_cache=False) as engine:
+            with ServingEngine(model) as engine:
                 future = engine.generate(prompt, GenerationRequest(max_new_tokens=5))
                 with pytest.raises(InjectedError):
                     future.result(timeout=30)
@@ -476,7 +488,8 @@ class TestPrefetchFaults:
         # kernel, so streaming is bit-identical to cached mode
         probe = Tensor(rng.normal(0, 1, (32, 16)).astype(np.float32))
         cached = model(probe).data
-        set_serving_mode(model, "streaming", block_channels=16, prefetch="pipeline")
+        _set_block_channels(model, 16)
+        set_serving_mode(model, "streaming", prefetch="pipeline")
         with injected({"prefetch.decode": FaultSpec(kind="error", on_calls={2}, max_fires=1)}):
             with pytest.raises(PrefetchError, match="pipelined block decode failed") as info:
                 model(probe)
@@ -490,12 +503,13 @@ class TestPrefetchFaults:
         model = nn.Sequential(nn.Linear(16, 48, rng=rng), nn.ReLU(), nn.Linear(48, 8, rng=rng))
         recipe = standard_recipe("E4M3", approach=Approach.DYNAMIC)
         model = quantize_model(model.eval(), recipe).model
-        set_serving_mode(model, "streaming", block_channels=16, prefetch="pipeline")
+        _set_block_channels(model, 16)
+        set_serving_mode(model, "streaming", prefetch="pipeline")
         sample = rng.normal(0, 1, 16).astype(np.float32)
         with no_grad():
             expected = model(Tensor(sample[None])).data[0]
         with injected({"prefetch.decode": FaultSpec(kind="error", on_calls={2}, max_fires=1)}):
-            with ServingEngine(model, max_wait_ms=1, plan_cache=False) as engine:
+            with ServingEngine(model, max_wait_ms=1) as engine:
                 with pytest.raises(PrefetchError) as info:
                     engine.serve(sample, timeout=30)
                 assert isinstance(info.value.__cause__, InjectedError)

@@ -77,7 +77,7 @@ class TestRequestDataclasses:
         # scheduling attributes travel in SubmitOptions only; a rejected call
         # enqueues nothing and the engine keeps serving
         model = nn.Sequential(nn.Linear(4, 4, rng=0)).eval()
-        engine = ServingEngine(model, plan_cache=False)
+        engine = ServingEngine(model)
         sample = np.zeros(4, dtype=np.float32)
         payload = [sample] if method == "serve_batch" else sample
         try:
@@ -90,7 +90,7 @@ class TestRequestDataclasses:
 
     def test_options_must_be_submit_options(self):
         model = nn.Sequential(nn.Linear(4, 4, rng=0)).eval()
-        engine = ServingEngine(model, plan_cache=False)
+        engine = ServingEngine(model)
         sample = np.zeros(4, dtype=np.float32)
         try:
             with pytest.raises(TypeError, match="SubmitOptions"):
@@ -105,7 +105,7 @@ class TestEngineGeneration:
         model = small_lm()
         prompts = [np.array([1, 2, 3]), np.array([7, 8]), np.array([4, 5, 6, 9])]
         refs = [model.generate(p, max_new_tokens=10) for p in prompts]
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             futures = [
                 engine.generate(p, GenerationRequest(max_new_tokens=10)) for p in prompts
             ]
@@ -117,7 +117,7 @@ class TestEngineGeneration:
         model = small_lm(seed=3)
         prompt = np.array([2, 9, 4])
         ref = model.generate(prompt, max_new_tokens=8, beam_size=3)
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             out = engine.generate(
                 prompt, GenerationRequest(max_new_tokens=8, beam_size=3)
             ).result(timeout=60)
@@ -127,7 +127,7 @@ class TestEngineGeneration:
         model = small_lm()
         prompt = np.array([1, 2, 3])
         ref = model.generate(prompt, max_new_tokens=8)
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             stream = engine.generate(prompt, GenerationRequest(max_new_tokens=8, stream=True))
             assert isinstance(stream, GenerationStream)
             tokens = list(stream)
@@ -140,7 +140,7 @@ class TestEngineGeneration:
         ref = model.generate(prompt, max_new_tokens=10)
         eos = int(ref[prompt.size + 2])
         model_stopped = model.generate(prompt, max_new_tokens=10, eos_token=eos)
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             out = engine.generate(
                 prompt, GenerationRequest(max_new_tokens=10, eos_token=eos)
             ).result(timeout=60)
@@ -150,7 +150,7 @@ class TestEngineGeneration:
         model = small_lm(seed=5)
         prompt = np.array([3, 1, 4])
         ref = model.generate(prompt, max_new_tokens=10, kv_cache="E4M3")
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             out = engine.generate(
                 prompt, GenerationRequest(max_new_tokens=10, kv_cache="E4M3")
             ).result(timeout=60)
@@ -163,7 +163,7 @@ class TestEngineGeneration:
         p1, p2 = np.array([1, 2, 3]), np.array([7, 8])
         ref1 = model.generate(p1, max_new_tokens=24)
         ref2 = model.generate(p2, max_new_tokens=6)
-        with ServingEngine(model, plan_cache=False, decode_slots=8) as engine:
+        with ServingEngine(model, decode_slots=8) as engine:
             f1 = engine.generate(p1, GenerationRequest(max_new_tokens=24))
             time.sleep(0.05)  # f1 is mid-decode when f2 arrives
             f2 = engine.generate(p2, GenerationRequest(max_new_tokens=6))
@@ -179,7 +179,7 @@ class TestEngineGeneration:
         p_low, p_high = np.array([1, 2, 3]), np.array([7, 8])
         ref_low = model.generate(p_low, max_new_tokens=24)
         ref_high = model.generate(p_high, max_new_tokens=6)
-        with ServingEngine(model, plan_cache=False, decode_slots=1) as engine:
+        with ServingEngine(model, decode_slots=1) as engine:
             f_low = engine.generate(p_low, GenerationRequest(max_new_tokens=24, priority=0))
             time.sleep(0.06)  # let the low-priority request occupy the only slot
             f_high = engine.generate(p_high, GenerationRequest(max_new_tokens=6, priority=5))
@@ -193,7 +193,7 @@ class TestEngineGeneration:
         model = slow_lm(seed=2)
         p_low, p_high = np.array([5, 6]), np.array([1, 2, 3])
         ref_low = model.generate(p_low, max_new_tokens=8, beam_size=2)
-        with ServingEngine(model, plan_cache=False, decode_slots=2) as engine:
+        with ServingEngine(model, decode_slots=2) as engine:
             f_low = engine.generate(
                 p_low, GenerationRequest(max_new_tokens=8, beam_size=2, priority=0)
             )
@@ -202,20 +202,9 @@ class TestEngineGeneration:
             f_high.result(timeout=120)
             np.testing.assert_array_equal(f_low.result(timeout=120), ref_low)
 
-    def test_memory_budget_caps_slots(self):
-        model = small_lm()
-        probe = model.new_decode_state(1)
-        budget = 3 * probe.row_nbytes + probe.row_nbytes // 2
-        with ServingEngine(
-            model, plan_cache=False, decode_slots=16, decode_memory_budget=budget
-        ) as engine:
-            future = engine.generate(np.array([1, 2]), GenerationRequest(max_new_tokens=2))
-            future.result(timeout=60)
-            assert engine.stats["generation"]["slots"] == 3
-
     def test_generation_deadline_expires_in_queue(self):
         model = slow_lm(step_delay_s=0.03)
-        with ServingEngine(model, plan_cache=False, decode_slots=1) as engine:
+        with ServingEngine(model, decode_slots=1) as engine:
             f_long = engine.generate(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=20))
             time.sleep(0.05)
             # same priority: cannot preempt, and the running request outlives
@@ -230,19 +219,19 @@ class TestEngineGeneration:
 
     def test_generate_rejects_bad_prompts_and_models(self):
         model = small_lm(max_seq_len=8)
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             with pytest.raises(ValueError, match="exceeds max_seq_len"):
                 engine.generate(np.arange(9) % 8, GenerationRequest(max_new_tokens=2))
             with pytest.raises(ValueError, match="no room"):
                 engine.generate(np.arange(8) % 8, GenerationRequest(max_new_tokens=2))
         mlp = nn.Sequential(nn.Linear(4, 4, rng=0)).eval()
-        with ServingEngine(mlp, plan_cache=False) as engine:
+        with ServingEngine(mlp) as engine:
             with pytest.raises(TypeError, match="generation"):
                 engine.generate(np.array([1, 2]), GenerationRequest())
 
     def test_generation_stats_shape(self):
         model = small_lm()
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             engine.generate(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=6)).result(
                 timeout=60
             )
@@ -254,7 +243,7 @@ class TestEngineGeneration:
 
     def test_close_drains_inflight_generations(self):
         model = slow_lm()
-        engine = ServingEngine(model, plan_cache=False)
+        engine = ServingEngine(model)
         future = engine.generate(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=12))
         engine.close()
         assert future.done()
@@ -280,7 +269,7 @@ class TestEngineMatchesModelGenerate:
             # a token the unstopped search emits, so EOS cuts the output short
             eos = int(model.generate(prompt, **options)[prompt.size + 2])
         ref = model.generate(prompt, eos_token=eos, **options)
-        with ServingEngine(model, plan_cache=False) as engine:
+        with ServingEngine(model) as engine:
             out = engine.generate(prompt, GenerationRequest(eos_token=eos, **options))
             np.testing.assert_array_equal(out.result(timeout=60), ref)
         if use_eos:
@@ -377,7 +366,7 @@ class TestGenerationQueueCap:
         waiter_prompt = np.array([7, 8])
         ref_waiter = model.generate(waiter_prompt, max_new_tokens=3)
         with ServingEngine(
-            model, plan_cache=False, decode_slots=1, max_queue_depth=1, shed_policy=policy
+            model, decode_slots=1, max_queue_depth=1, shed_policy=policy
         ) as engine:
             running = engine.generate(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=20))
             _wait_running(engine)
@@ -398,7 +387,7 @@ class TestGenerationQueueCap:
         vip_prompt = np.array([4, 5])
         ref_vip = model.generate(vip_prompt, max_new_tokens=3)
         with ServingEngine(
-            model, plan_cache=False, decode_slots=1, max_queue_depth=1, shed_policy="priority"
+            model, decode_slots=1, max_queue_depth=1, shed_policy="priority"
         ) as engine:
             running = engine.generate(np.array([1, 2, 3]), GenerationRequest(max_new_tokens=20))
             _wait_running(engine)
@@ -422,7 +411,7 @@ class TestGenerationCancellation:
         first_prompt, next_prompt = np.array([1, 2, 3]), np.array([4, 5])
         ref_first = model.generate(first_prompt, max_new_tokens=10)
         ref_next = model.generate(next_prompt, max_new_tokens=2)
-        with ServingEngine(model, plan_cache=False, decode_slots=1) as engine:
+        with ServingEngine(model, decode_slots=1) as engine:
             first = engine.generate(first_prompt, GenerationRequest(max_new_tokens=10))
             doomed = engine.generate(np.array([7, 8]), GenerationRequest(max_new_tokens=30))
             assert doomed.cancel()
@@ -438,7 +427,7 @@ class TestGenerationCancellation:
         model = slow_lm()
         next_prompt = np.array([4, 5])
         ref_next = model.generate(next_prompt, max_new_tokens=2)
-        with ServingEngine(model, plan_cache=False, decode_slots=1) as engine:
+        with ServingEngine(model, decode_slots=1) as engine:
             doomed = engine.generate(np.array([7, 8]), GenerationRequest(max_new_tokens=40))
             _wait_running(engine)
             assert doomed.cancel()

@@ -193,7 +193,6 @@ class TestProcessServing:
         engine = ServingEngine.from_checkpoint(
             checkpoint,
             build_mlp,
-            block_channels=4,
             worker_mode="process",
             max_batch_size=len(samples),
             max_wait_ms=2000.0,

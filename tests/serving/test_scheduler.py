@@ -61,12 +61,18 @@ class TestCompatKey:
             np.zeros(5, dtype=np.float32)
         )
 
-    def test_rank2_groups_by_trailing_dims(self):
+    def test_rank2_keys_differ_by_leading_length(self):
         assert compat_key(np.zeros((3, 4), dtype=np.float32)) == compat_key(
+            np.zeros((3, 4), dtype=np.float32)
+        )
+        assert compat_key(np.zeros((3, 4), dtype=np.float32)) != compat_key(
             np.zeros((7, 4), dtype=np.float32)
         )
         assert compat_key(np.zeros((3, 4), dtype=np.float32)) != compat_key(
             np.zeros((3, 5), dtype=np.float32)
+        )
+        assert compat_key(np.zeros((3, 4), dtype=np.float32)) != compat_key(
+            np.zeros((3, 4), dtype=np.float64)
         )
 
 
